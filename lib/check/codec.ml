@@ -6,7 +6,27 @@
 
 open Prelude
 
-type wb = { mutable b : Bytes.t; mutable len : int }
+(* A segment-memo site's cache inside one scratch: a few slots, each a
+   key held by physical identity, the byte segment the wrapped codec
+   wrote for it, and an LRU stamp. *)
+type cache = {
+  site : int;
+  keys : Obj.t array;
+  segs : Bytes.t array;
+  lens : int array;
+  stamps : int array;
+  mutable tick : int;
+}
+
+(* [memo_on] is false on one-shot buffers, which bypass every memo site;
+   [caches] holds a scratch's per-site caches, created on first use. *)
+type wb = {
+  mutable b : Bytes.t;
+  mutable len : int;
+  memo_on : bool;
+  mutable caches : cache array;
+}
+
 type rb = { data : Bytes.t; mutable pos : int; limit : int }
 
 exception Malformed of string
@@ -16,27 +36,30 @@ let malformed msg = raise (Malformed msg)
 (* ------------------------------------------------------------------ *)
 (* Write primitives                                                   *)
 
-let wb_create n = { b = Bytes.create n; len = 0 }
+let wb_create ?(memo_on = false) n =
+  { b = Bytes.create n; len = 0; memo_on; caches = [||] }
 
-let reserve w n =
+let grow w need =
+  let cap = ref (max 64 (2 * Bytes.length w.b)) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit w.b 0 b 0 w.len;
+  w.b <- b
+
+let[@inline] reserve w n =
   let need = w.len + n in
-  if need > Bytes.length w.b then begin
-    let cap = ref (max 64 (2 * Bytes.length w.b)) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let b = Bytes.create !cap in
-    Bytes.blit w.b 0 b 0 w.len;
-    w.b <- b
-  end
+  if need > Bytes.length w.b then grow w need
 
 let w_u8 w n =
   reserve w 1;
   Bytes.unsafe_set w.b w.len (Char.unsafe_chr (n land 0xff));
   w.len <- w.len + 1
 
-(* Unsigned LEB128 of a non-negative int. *)
-let w_uvarint w n =
+(* Unsigned LEB128 of a non-negative int; one-byte values (most tags,
+   identifiers and cardinals) skip the loop. *)
+let w_uvarint_long w n =
   reserve w 10;
   let n = ref n in
   while !n land lnot 0x7f <> 0 do
@@ -46,6 +69,9 @@ let w_uvarint w n =
   done;
   Bytes.unsafe_set w.b w.len (Char.unsafe_chr !n);
   w.len <- w.len + 1
+
+let[@inline] w_uvarint w n =
+  if n land lnot 0x7f = 0 then w_u8 w n else w_uvarint_long w n
 
 let w_string w s =
   let n = String.length s in
@@ -170,12 +196,20 @@ let triple a b c =
         (x, y, z));
   }
 
+(* Aggregate writers thread the buffer through a fold whose step function
+   is built once per codec, so writing allocates no closure per call. *)
 let list c =
+  let rec write_all w = function
+    | [] -> ()
+    | x :: tl ->
+        c.wr w x;
+        write_all w tl
+  in
   {
     wr =
       (fun w xs ->
         w_uvarint w (List.length xs);
-        List.iter (c.wr w) xs);
+        write_all w xs);
     rd =
       (fun r ->
         let n = r_card r in
@@ -206,6 +240,86 @@ let via ~to_ ~of_ c =
   { wr = (fun w x -> c.wr w (to_ x)); rd = (fun r -> of_ (c.rd r)) }
 
 (* ------------------------------------------------------------------ *)
+(* Segment memo                                                       *)
+
+(* Keys are compared with [==] only and never read back, so holding them
+   as [Obj.t] is type-safe; [no_key] is a private block no value can be
+   physically equal to.  Holding the key also keeps it alive, so its
+   address cannot be reused by a different value while it is cached. *)
+let no_key = Obj.repr (ref ())
+let next_site = Atomic.make 0
+
+(* Four ways keep every engine of a registry stack state (universe 2)
+   resident while its successors' fresh engines come and go; more ways
+   measured no better on vs-stack-faulty. *)
+let memo_ways = 4
+
+let new_cache site =
+  {
+    site;
+    keys = Array.make memo_ways no_key;
+    segs = Array.init memo_ways (fun _ -> Bytes.create 64);
+    lens = Array.make memo_ways 0;
+    stamps = Array.make memo_ways 0;
+    tick = 0;
+  }
+
+let rec find_cache caches site i =
+  if i = Array.length caches then -1
+  else if caches.(i).site = site then i
+  else find_cache caches site (i + 1)
+
+let cache_of w site =
+  let i = find_cache w.caches site 0 in
+  if i >= 0 then w.caches.(i)
+  else begin
+    let c = new_cache site in
+    w.caches <- Array.append w.caches [| c |];
+    c
+  end
+
+let rec find_way keys k i =
+  if i = Array.length keys then -1
+  else if keys.(i) == k then i
+  else find_way keys k (i + 1)
+
+let rec lru_way stamps best i =
+  if i = Array.length stamps then best
+  else lru_way stamps (if stamps.(i) < stamps.(best) then i else best) (i + 1)
+
+let memo c =
+  let site = Atomic.fetch_and_add next_site 1 in
+  let wr w x =
+    if not w.memo_on then c.wr w x
+    else begin
+      let m = cache_of w site in
+      let k = Obj.repr x in
+      m.tick <- m.tick + 1;
+      let i = find_way m.keys k 0 in
+      if i >= 0 then begin
+        m.stamps.(i) <- m.tick;
+        let n = m.lens.(i) in
+        reserve w n;
+        Bytes.blit m.segs.(i) 0 w.b w.len n;
+        w.len <- w.len + n
+      end
+      else begin
+        let start = w.len in
+        c.wr w x;
+        let n = w.len - start in
+        let v = lru_way m.stamps 0 1 in
+        if Bytes.length m.segs.(v) < n then
+          m.segs.(v) <- Bytes.create (max n (2 * Bytes.length m.segs.(v)));
+        Bytes.blit w.b start m.segs.(v) 0 n;
+        m.keys.(v) <- k;
+        m.lens.(v) <- n;
+        m.stamps.(v) <- m.tick
+      end
+    end
+  in
+  { wr; rd = c.rd }
+
+(* ------------------------------------------------------------------ *)
 (* Prelude codecs                                                     *)
 
 let proc = int
@@ -232,7 +346,7 @@ let proc_set =
     wr =
       (fun w s ->
         w_uvarint w (Proc.Set.cardinal s);
-        Proc.Set.iter (int.wr w) s);
+        ignore (Proc.Set.fold (fun x w -> int.wr w x; w) s w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -248,7 +362,7 @@ let gid_set =
     wr =
       (fun w s ->
         w_uvarint w (Gid.Set.cardinal s);
-        Gid.Set.iter (int.wr w) s);
+        ignore (Gid.Set.fold (fun x w -> int.wr w x; w) s w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -277,7 +391,7 @@ let view_set =
     wr =
       (fun w s ->
         w_uvarint w (View.Set.cardinal s);
-        View.Set.iter (view.wr w) s);
+        ignore (View.Set.fold (fun x w -> view.wr w x; w) s w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -293,7 +407,7 @@ let label_set =
     wr =
       (fun w s ->
         w_uvarint w (Label.Set.cardinal s);
-        Label.Set.iter (label.wr w) s);
+        ignore (Label.Set.fold (fun x w -> label.wr w x; w) s w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -305,15 +419,16 @@ let label_set =
   }
 
 let proc_map (type a) (vc : a f) : a Proc.Map.t f =
+  let entry k v w =
+    int.wr w k;
+    vc.wr w v;
+    w
+  in
   {
     wr =
       (fun w m ->
         w_uvarint w (Proc.Map.cardinal m);
-        Proc.Map.iter
-          (fun k v ->
-            int.wr w k;
-            vc.wr w v)
-          m);
+        ignore (Proc.Map.fold entry m w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -327,15 +442,16 @@ let proc_map (type a) (vc : a f) : a Proc.Map.t f =
   }
 
 let gid_map (type a) (vc : a f) : a Gid.Map.t f =
+  let entry k v w =
+    int.wr w k;
+    vc.wr w v;
+    w
+  in
   {
     wr =
       (fun w m ->
         w_uvarint w (Gid.Map.cardinal m);
-        Gid.Map.iter
-          (fun k v ->
-            int.wr w k;
-            vc.wr w v)
-          m);
+        ignore (Gid.Map.fold entry m w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -349,15 +465,16 @@ let gid_map (type a) (vc : a f) : a Gid.Map.t f =
   }
 
 let label_map (type a) (vc : a f) : a Label.Map.t f =
+  let entry k v w =
+    label.wr w k;
+    vc.wr w v;
+    w
+  in
   {
     wr =
       (fun w m ->
         w_uvarint w (Label.Map.cardinal m);
-        Label.Map.iter
-          (fun k v ->
-            label.wr w k;
-            vc.wr w v)
-          m);
+        ignore (Label.Map.fold entry m w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -371,16 +488,17 @@ let label_map (type a) (vc : a f) : a Label.Map.t f =
   }
 
 let pg_map (type a) (vc : a f) : a Pg_map.t f =
+  let entry (p, g) v w =
+    int.wr w p;
+    int.wr w g;
+    vc.wr w v;
+    w
+  in
   {
     wr =
       (fun w m ->
         w_uvarint w (Pg_map.cardinal m);
-        Pg_map.iter
-          (fun (p, g) v ->
-            int.wr w p;
-            int.wr w g;
-            vc.wr w v)
-          m);
+        ignore (Pg_map.fold entry m w));
     rd =
       (fun r ->
         let n = r_card r in
@@ -395,11 +513,15 @@ let pg_map (type a) (vc : a f) : a Pg_map.t f =
   }
 
 let seqs (type a) (c : a f) : a Seqs.t f =
+  let step w x =
+    c.wr w x;
+    w
+  in
   {
     wr =
       (fun w s ->
         w_uvarint w (Seqs.length s);
-        Seqs.iter (c.wr w) s);
+        ignore (Seqs.fold_left step w s));
     rd =
       (fun r ->
         let n = r_card r in
@@ -523,7 +645,7 @@ let decode t frame =
 
 type scratch = wb
 
-let scratch () = wb_create 1024
+let scratch () = wb_create ~memo_on:true 1024
 
 let encode_into t (w : scratch) s =
   w.len <- 0;

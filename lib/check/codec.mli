@@ -79,6 +79,23 @@ val via : to_:('a -> 'b) -> of_:('b -> 'a) -> 'b f -> 'a f
 (** Transport a codec across an isomorphism: canonical iff [to_] maps
     equal values to equal images under the carrier codec. *)
 
+val memo : 'a f -> 'a f
+(** [memo c] writes what [c] writes, but when writing into a {!scratch}
+    it caches the byte segment [c] wrote for a value, keyed by physical
+    identity ([==]), and on a later write of the {e same} value blits
+    the cached segment instead of re-running [c.wr].  The image is
+    byte-identical: a physically equal immutable value is structurally
+    equal, and every field image is position-independent.
+
+    {b Only wrap codecs of immutable values} (no mutable fields or
+    arrays anywhere inside): a value mutated after it was cached would
+    be written with its stale image.
+
+    Each scratch keeps its own 4-way LRU cache per memo site, so
+    scratches stay single-threaded and domain-safe with no locks.
+    One-shot {!encode} bypasses the memo entirely.  Building a site is
+    one atomic counter bump.  [rd] is [c.rd] unchanged. *)
+
 (** {1 Prelude codecs}
 
     Sets and maps are written as cardinal prefix + ascending-order

@@ -241,8 +241,19 @@ let run (type s a)
       if trace then Some (Fingerprint.Table.create 4096) else None
     in
     let queue : (int * s * Fingerprint.t) Queue.t = Queue.create () in
-    let stats =
-      ref { states = 0; transitions = 0; depth = 0; truncated = false }
+    (* Plain counters on the hot path; the [stats] record is built only
+       for progress events and [finalize]. *)
+    let states = ref 0 in
+    let transitions = ref 0 in
+    let max_depth_seen = ref 0 in
+    let truncated = ref false in
+    let stats () =
+      {
+        states = !states;
+        transitions = !transitions;
+        depth = !max_depth_seen;
+        truncated = !truncated;
+      }
     in
     let violation = ref None in
     let violation_step = ref None in
@@ -295,16 +306,12 @@ let run (type s a)
       in
       pf_leave ~slot:0 ph_dedup;
       if fresh then begin
-        stats :=
-          {
-            !stats with
-            states = !stats.states + 1;
-            depth = max !stats.depth depth;
-          };
+        incr states;
+        if depth > !max_depth_seen then max_depth_seen := depth;
         (* The state that crosses [max_states] is counted in [stats], so
            it must be invariant-checked like every other visited state —
            it is only exempt from expansion. *)
-        match check_state !stats.states state with
+        match check_state !states state with
         | Some v ->
             violation := Some v;
             violation_step :=
@@ -313,8 +320,7 @@ let run (type s a)
                   { Ioa.Exec.pre; action; post = state })
                 via
         | None ->
-            if !stats.states > max_states then
-              stats := { !stats with truncated = true }
+            if !states > max_states then truncated := true
             else Queue.add (depth, state, fp) queue
       end
     in
@@ -323,7 +329,7 @@ let run (type s a)
       Option.is_none !violation
       && Option.is_none !step_failure
       && Option.is_none !key_clash
-      && not !stats.truncated
+      && not !truncated
     in
     let expanded = ref 0 in
     let rec loop () =
@@ -333,10 +339,10 @@ let run (type s a)
         if !expanded mod progress_every = 0 then begin
           (match sink with
           | Some s ->
-              progress_event s !stats ~frontier:(Queue.length queue);
+              progress_event s (stats ()) ~frontier:(Queue.length queue);
               (match prof with
               | Some p ->
-                  Obs.Prof.heartbeat p s ~component ~states:!stats.states
+                  Obs.Prof.heartbeat p s ~component ~states:!states
               | None -> ())
           | None -> ());
           match metrics with
@@ -382,7 +388,7 @@ let run (type s a)
             (fun idx action ->
               if continue () then begin
                 let post = A.step state action in
-                stats := { !stats with transitions = !stats.transitions + 1 };
+                incr transitions;
                 (match check_step with
                 | None -> ()
                 | Some f -> (
@@ -401,7 +407,7 @@ let run (type s a)
       end
     in
     loop ();
-    finalize ~stats:!stats ~violation:!violation
+    finalize ~stats:(stats ()) ~violation:!violation
       ~violation_step:!violation_step ~step_failure:!step_failure
       ~key_clash:!key_clash ~trace:parents ~steals:0 ~contention:0
       ~por_skipped:!por_skipped ~orbit_collapsed:!orbit_collapsed

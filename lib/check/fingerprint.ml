@@ -39,11 +39,17 @@ type ctx = {
 let create () =
   { h1 = basis1; h2 = basis2; len = 0; pending = Bytes.create 8; pfill = 0 }
 
+let[@inline] mix1 h w =
+  let z = Int64.mul (Int64.logxor h w) mult1 in
+  Int64.logxor z (Int64.shift_right_logical z 29)
+
+let[@inline] mix2 h w =
+  let z = Int64.mul (Int64.add h w) mult2 in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
 let[@inline] mix_word c w =
-  let z1 = Int64.mul (Int64.logxor c.h1 w) mult1 in
-  c.h1 <- Int64.logxor z1 (Int64.shift_right_logical z1 29);
-  let z2 = Int64.mul (Int64.add c.h2 w) mult2 in
-  c.h2 <- Int64.logxor z2 (Int64.shift_right_logical z2 31)
+  c.h1 <- mix1 c.h1 w;
+  c.h2 <- mix2 c.h2 w
 
 let feed c s =
   let n = String.length s in
@@ -71,19 +77,14 @@ let feed c s =
   done
 
 (* splitmix64 finalizer: full avalanche per lane. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let finish c =
-  if c.pfill > 0 then begin
-    for j = c.pfill to 7 do Bytes.unsafe_set c.pending j '\000' done;
-    mix_word c (Bytes.get_int64_le c.pending 0);
-    c.pfill <- 0
-  end;
-  let len = Int64.of_int c.len in
-  let h1 = Int64.logxor c.h1 len and h2 = Int64.logxor c.h2 len in
+let[@inline] finish_lanes h1 h2 len =
+  let len = Int64.of_int len in
+  let h1 = Int64.logxor h1 len and h2 = Int64.logxor h2 len in
   let h1 = Int64.add h1 h2 in
   let h2 = Int64.add h2 h1 in
   let h1 = mix64 h1 in
@@ -91,6 +92,14 @@ let finish c =
   let h1 = Int64.add h1 h2 in
   let h2 = Int64.add h2 h1 in
   { hi = h1; lo = h2 }
+
+let finish c =
+  if c.pfill > 0 then begin
+    for j = c.pfill to 7 do Bytes.unsafe_set c.pending j '\000' done;
+    mix_word c (Bytes.get_int64_le c.pending 0);
+    c.pfill <- 0
+  end;
+  finish_lanes c.h1 c.h2 c.len
 
 let feed_bytes c b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then
@@ -119,15 +128,37 @@ let feed_bytes c b ~pos ~len =
     incr i
   done
 
-let of_string s =
-  let c = create () in
-  feed c s;
-  finish c
-
+(* The one-shot digest of a contiguous range: the same words, lanes and
+   finalizer as [create]/[feed_bytes]/[finish], but with the lanes in
+   local variables, which the compiler keeps unboxed — the streaming
+   context's [mutable int64] fields box on every word. *)
 let of_bytes b ~pos ~len =
-  let c = create () in
-  feed_bytes c b ~pos ~len;
-  finish c
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Fingerprint.of_bytes";
+  let h1 = ref basis1 and h2 = ref basis2 in
+  let stop = pos + len in
+  let i = ref pos in
+  while !i + 8 <= stop do
+    let w = Bytes.get_int64_le b !i in
+    h1 := mix1 !h1 w;
+    h2 := mix2 !h2 w;
+    i := !i + 8
+  done;
+  if !i < stop then begin
+    (* zero-padded trailing word, little-endian *)
+    let w = ref 0L in
+    for j = stop - 1 downto !i do
+      w :=
+        Int64.logor (Int64.shift_left !w 8)
+          (Int64.of_int (Char.code (Bytes.unsafe_get b j)))
+    done;
+    h1 := mix1 !h1 !w;
+    h2 := mix2 !h2 !w
+  end;
+  finish_lanes !h1 !h2 len
+
+let of_string s =
+  of_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* Range partition of the high lane's top 16 bits.  The owner of a
    fingerprint must be decorrelated from every other consumer of its

@@ -319,19 +319,22 @@ module Make (M : Msg_intf.S) = struct
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 
+  (* The payload-independent field codecs, built once per functor
+     instance instead of on every [codec_state] call. *)
+  let view_opt_c = Check.Codec.(option view)
+  let info_c = Check.Codec.(pair view view_set)
+  let info_pg_c = Check.Codec.pg_map info_c
+  let rgst_c = Check.Codec.(pg_map unit)
+  let info_sent_c = Check.Codec.gid_map info_c
+
   (* Flat canonical codec over the same thirteen components [state_key]
      renders; injective up to [equal_state] whenever [m] is injective up
      to [M.equal]. *)
   let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
     let open Check.Codec in
     let wire_c = Wire.codec m in
-    let view_opt_c = option view in
-    let info_c = pair view view_set in
-    let info_pg_c = pg_map info_c in
     let to_vs_c = gid_map (seqs wire_c) in
     let from_vs_c = gid_map (seqs (pair m proc)) in
-    let rgst_c = pg_map unit in
-    let info_sent_c = gid_map info_c in
     {
       wr =
         (fun b s ->

@@ -20,12 +20,17 @@
 
 let now_ns () = Monotonic_clock.now ()
 
-type acc = { mutable ns : int64; mutable calls : int }
+(* The hot path keeps nanoseconds as immediate [int]s: a [mutable]
+   [int64] field would box on every store. *)
+let now_int () = Int64.to_int (Monotonic_clock.now ())
+
+type acc = { mutable ns : int; mutable calls : int }
 
 type slot = {
   mutable accs : acc array;  (* indexed by phase id *)
-  mutable stack : int list;  (* innermost phase first *)
-  mutable last : int64;  (* when the innermost phase (re)started *)
+  mutable stack : int array;  (* open phases, innermost at [depth - 1] *)
+  mutable depth : int;
+  mutable last : int;  (* when the innermost phase (re)started *)
   mutable alloc : float;  (* bytes accrued via add_alloc *)
 }
 
@@ -58,7 +63,7 @@ let intern t name =
     else begin
       t.phases <- Array.append t.phases [| name |];
       Array.iter
-        (fun s -> s.accs <- Array.append s.accs [| { ns = 0L; calls = 0 } |])
+        (fun s -> s.accs <- Array.append s.accs [| { ns = 0; calls = 0 } |])
         t.slots;
       n
     end
@@ -73,7 +78,8 @@ let create ?(phases = []) ~slots () =
       phases = [||];
       slots =
         Array.init (max 1 slots) (fun _ ->
-            { accs = [||]; stack = []; last = 0L; alloc = 0. });
+            { accs = [||]; stack = Array.make 8 0; depth = 0; last = 0;
+              alloc = 0. });
       t0 = now_ns ();
       t1 = 0L;
       gc_alloc0 = Gc.allocated_bytes ();
@@ -90,28 +96,30 @@ let phases t = Array.to_list t.phases
 
 let enter t ~slot phase =
   let s = t.slots.(slot) in
-  let now = now_ns () in
-  (match s.stack with
-  | outer :: _ ->
-      let a = s.accs.(outer) in
-      a.ns <- Int64.add a.ns (Int64.sub now s.last)
-  | [] -> ());
+  let now = now_int () in
+  if s.depth > 0 then begin
+    let a = s.accs.(s.stack.(s.depth - 1)) in
+    a.ns <- a.ns + (now - s.last)
+  end;
   let a = s.accs.(phase) in
   a.calls <- a.calls + 1;
-  s.stack <- phase :: s.stack;
+  if s.depth = Array.length s.stack then
+    s.stack <- Array.append s.stack (Array.make s.depth 0);
+  s.stack.(s.depth) <- phase;
+  s.depth <- s.depth + 1;
   s.last <- now
 
 let leave t ~slot phase =
   let s = t.slots.(slot) in
-  let now = now_ns () in
+  let now = now_int () in
   let a = s.accs.(phase) in
-  a.ns <- Int64.add a.ns (Int64.sub now s.last);
-  (match s.stack with _ :: tl -> s.stack <- tl | [] -> ());
+  a.ns <- a.ns + (now - s.last);
+  if s.depth > 0 then s.depth <- s.depth - 1;
   s.last <- now
 
 let add_ns t ~slot phase ns =
   let a = t.slots.(slot).accs.(phase) in
-  a.ns <- Int64.add a.ns ns;
+  a.ns <- a.ns + Int64.to_int ns;
   a.calls <- a.calls + 1
 
 let add_alloc t ~slot bytes =
@@ -150,15 +158,15 @@ let totals t =
   Array.to_list
     (Array.mapi
        (fun i phase ->
-         let ns = ref 0L and calls = ref 0 in
+         let ns = ref 0 and calls = ref 0 in
          Array.iter
            (fun s ->
              if i < Array.length s.accs then begin
-               ns := Int64.add !ns s.accs.(i).ns;
+               ns := !ns + s.accs.(i).ns;
                calls := !calls + s.accs.(i).calls
              end)
            t.slots;
-         { phase; ns = !ns; calls = !calls })
+         { phase; ns = Int64.of_int !ns; calls = !calls })
        t.phases)
 
 let report t =

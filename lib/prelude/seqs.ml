@@ -53,13 +53,10 @@ let concat a b =
   in
   go 1 a
 
-let fold_left f init a =
-  let rec go i acc =
-    if i > length a then acc else go (i + 1) (f acc (nth1 a i))
-  in
-  go 1 init
-
-let iter f a = fold_left (fun () x -> f x) () a
+(* Slots are contiguous and ascending, so walking the map visits the
+   elements in sequence order — one traversal, no per-index lookup. *)
+let fold_left f init a = Imap.fold (fun _ x acc -> f acc x) a.slots init
+let iter f a = Imap.iter (fun _ x -> f x) a.slots
 
 let exists p a =
   let rec go i = i <= length a && (p (nth1 a i) || go (i + 1)) in

@@ -507,35 +507,39 @@ module Make (M : Msg_intf.S) = struct
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 
+  (* The payload-independent field codecs, built once per functor
+     instance instead of on every [codec_state] call. *)
+  let variant_c : variant Check.Codec.f =
+    let open Check.Codec in
+    {
+      wr =
+        (fun b -> function
+          | Faithful -> byte.wr b 0
+          | No_dedup -> byte.wr b 1
+          | No_retransmit -> byte.wr b 2);
+      rd =
+        (fun r ->
+          match byte.rd r with
+          | 0 -> Faithful
+          | 1 -> No_dedup
+          | 2 -> No_retransmit
+          | _ -> raise (Malformed "engine variant tag"));
+    }
+
+  let gm_view = Check.Codec.(gid_map view)
+  let pg_int = Check.Codec.(pg_map int)
+  let gm_int = Check.Codec.(gid_map int)
+  let cur_c = Check.Codec.(option view)
+
   (* Flat canonical codec over every field, in declaration order.
      [variant] and [drop_stale] are fixed at construction and constant
      across all reachable states of one exploration, so including them
      keeps the encoding canonical there while making decode total. *)
   let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
     let open Check.Codec in
-    let variant_c : variant f =
-      {
-        wr =
-          (fun b -> function
-            | Faithful -> byte.wr b 0
-            | No_dedup -> byte.wr b 1
-            | No_retransmit -> byte.wr b 2);
-        rd =
-          (fun r ->
-            match byte.rd r with
-            | 0 -> Faithful
-            | 1 -> No_dedup
-            | 2 -> No_retransmit
-            | _ -> raise (Malformed "engine variant tag"));
-      }
-    in
-    let gm_view = gid_map view in
     let gm_seq = gid_map (seqs m) in
     let gm_seqp = gid_map (seqs (pair m proc)) in
-    let pg_int = pg_map int in
-    let gm_int = gid_map int in
     let rcv_c = pg_map (pair m proc) in
-    let cur_c = option view in
     {
       wr =
         (fun b st ->

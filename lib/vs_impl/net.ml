@@ -190,6 +190,8 @@ module Make (M : Msg_intf.S) = struct
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 
+  let blocked_c = Check.Codec.(list (pair proc proc))
+
   (* Flat canonical codec.  [blocked] is written sorted-deduplicated so
      states equal under [equal] (order-insensitive on that field) encode
      identically; the fault policy and budget counters are encoded in
@@ -198,7 +200,6 @@ module Make (M : Msg_intf.S) = struct
   let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
     let open Check.Codec in
     let channels_c = pg_map (seqs (Packet.codec m)) in
-    let blocked_c = list (pair proc proc) in
     {
       wr =
         (fun b s ->

@@ -186,22 +186,26 @@ module Make (M : Msg_intf.S) = struct
     Buffer.contents buf
 
   (* Flat canonical codec — net, daemon, every engine, and the initial
-     membership — mirroring [state_key]'s coverage. *)
+     membership — mirroring [state_key]'s coverage.  A step replaces at
+     most one engine and the net, leaving the other components physically
+     shared with the predecessor, so the three component codecs are
+     segment-memoised. *)
   let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
     let open Check.Codec in
-    let net_c = N.codec_state m in
-    let engines_c = proc_map (E.codec_state m) in
+    let net_c = memo (N.codec_state m) in
+    let daemon_c = memo Daemon.codec in
+    let engines_c = proc_map (memo (E.codec_state m)) in
     {
       wr =
         (fun b s ->
           net_c.wr b s.net;
-          Daemon.codec.wr b s.daemon;
+          daemon_c.wr b s.daemon;
           engines_c.wr b s.engines;
           proc_set.wr b s.p0);
       rd =
         (fun r ->
           let net = net_c.rd r in
-          let daemon = Daemon.codec.rd r in
+          let daemon = daemon_c.rd r in
           let engines = engines_c.rd r in
           let p0 = proc_set.rd r in
           { net; daemon; engines; p0 });

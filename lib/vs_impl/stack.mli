@@ -97,7 +97,8 @@ module Make (M : Prelude.Msg_intf.S) : sig
 
   (** Flat canonical codec — net, daemon, every engine and the initial
       membership — mirroring {!state_key}'s coverage, given a payload
-      codec. *)
+      codec.  The net, daemon and engine codecs are
+      {!Check.Codec.memo}-wrapped. *)
   val codec_state : M.t Check.Codec.f -> state Check.Codec.f
 
   (** {2 Symmetry transport}

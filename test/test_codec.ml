@@ -11,7 +11,10 @@
    encoder aliasing [next] into the [next_safe] slot) must be caught by the
    injectivity sweep and by the dedup differential.  Registry-wide parity:
    [`Throughput] (hash-compacted seen-set) visits exactly the states
-   [`Deterministic] does, with identical verdicts, at jobs:1 and jobs:4. *)
+   [`Deterministic] does, with identical verdicts, at jobs:1 and jobs:4.
+   Segment memo: a warm scratch must reproduce the one-shot images of the
+   stack entries' states, an evicting memo must stay exact, and two
+   domains with a scratch each must agree with the sequential images. *)
 
 module An = Analysis.Analyzer
 module Reg = Analysis.Registry
@@ -462,6 +465,182 @@ let corpus_states_decode () =
       Alcotest.(check bool) "corpus non-empty" true (records <> [])
 
 (* ------------------------------------------------------------------ *)
+(* Segment memo                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-shot frame minus its magic byte, body-length varint and
+   checksum: [id · version · body], exactly what a scratch holds after
+   [encode_into]. *)
+let preimage_of_frame frame =
+  let pos = ref 1 in
+  let rec varint acc shift =
+    let b = Char.code (Bytes.get frame !pos) in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint acc (shift + 7)
+  in
+  let id_len = varint 0 0 in
+  pos := !pos + id_len;
+  ignore (varint 0 0);
+  let seg_end = !pos in
+  let body_len = varint 0 0 in
+  let body_pos = !pos in
+  Alcotest.(check int) "frame = header · body · checksum"
+    (Bytes.length frame) (body_pos + body_len + 16);
+  Bytes.sub_string frame 1 (seg_end - 1)
+  ^ Bytes.sub_string frame body_pos body_len
+
+let scratch_image c scratch s =
+  C.encode_into c scratch s;
+  let buf, len = C.scratch_contents scratch in
+  Bytes.sub_string buf 0 len
+
+(* The explorer's access pattern: every observed state, then each of its
+   successors, so the successors' components are physically shared with
+   the state just written. *)
+let successor_walk (type s a) ~max_states (sub : (s, a) An.subject) : s list =
+  let (module A : Ioa.Automaton.GENERATIVE
+        with type state = s
+         and type action = a) =
+    sub.An.automaton
+  in
+  let acc = ref [] in
+  let _ =
+    Check.Explorer.run sub.automaton ~key:sub.key ~invariants:[] ~seed:[| 0 |]
+      ~max_states ~jobs:1 ~state_rng:true
+      ~observe:(fun o ->
+        let s = o.Check.Explorer.obs_state in
+        acc := s :: !acc;
+        List.iter (fun a -> acc := A.step s a :: !acc) o.obs_enabled)
+      ~init:sub.init ()
+  in
+  List.rev !acc
+
+let stack_entries () =
+  List.filter
+    (fun (Reg.Entry e) -> List.mem e.name [ "vs-stack"; "vs-stack-faulty" ])
+    (Reg.all ())
+
+(* Through one reused, warm scratch every image must equal the one-shot
+   [encode] body of the same state. *)
+let memo_matches_one_shot () =
+  let entries = stack_entries () in
+  Alcotest.(check int) "both stack entries present" 2 (List.length entries);
+  List.iter
+    (fun (Reg.Entry e) ->
+      let c = codec_of e.subject e.name in
+      let states = successor_walk ~max_states:1_200 e.subject in
+      Alcotest.(check bool)
+        (e.name ^ ": at least 1000 states")
+        true
+        (List.length states >= 1_000);
+      let scratch = C.scratch () in
+      List.iteri
+        (fun i s ->
+          let want = preimage_of_frame (C.encode c s) in
+          if not (String.equal want (scratch_image c scratch s)) then
+            Alcotest.failf "%s: state %d: memoised image differs" e.name i)
+        states)
+    entries
+
+module Stk = Vs_impl.Stack.Make (Msg)
+
+(* Distinct engine values (by image) from a short vs-stack walk. *)
+let distinct_engines n =
+  let cfg = Stk.default_config ~payloads:[ "a" ] ~universe:2 in
+  let gen = Stk.generative_pure cfg in
+  let init = Stk.initial ~universe:2 ~p0:(Prelude.Proc.Set.universe 2) () in
+  let ec = C.make ~id:"engine" ~version:1 (Stk.E.codec_state C.string) in
+  let seen = Hashtbl.create 64 and acc = ref [] in
+  let _ =
+    Check.Explorer.run gen ~key:Stk.state_key ~invariants:[] ~seed:[| 0 |]
+      ~max_states:500 ~jobs:1 ~state_rng:true
+      ~observe:(fun o ->
+        Prelude.Proc.Map.iter
+          (fun _ e ->
+            let img = C.to_hex (C.encode ec e) in
+            if not (Hashtbl.mem seen img) then begin
+              Hashtbl.add seen img ();
+              acc := e :: !acc
+            end)
+          o.Check.Explorer.obs_state.Stk.engines)
+      ~init ()
+  in
+  let engines = List.rev !acc in
+  Alcotest.(check bool)
+    (Printf.sprintf "walk found %d distinct engines" n)
+    true
+    (List.length engines >= n);
+  List.filteri (fun i _ -> i < n) engines
+
+(* A 4-way site fed more distinct engines than it has ways: every image
+   stays exact, the LRU re-runs the writer exactly on misses, and the
+   four most recent values stay resident. *)
+let memo_eviction () =
+  let engines = distinct_engines 6 in
+  let writes = ref 0 in
+  let inner = Stk.E.codec_state C.string in
+  let counted = { inner with C.wr = (fun w e -> incr writes; inner.C.wr w e) } in
+  let plain = C.make ~id:"engine" ~version:1 inner in
+  let memoised = C.make ~id:"engine" ~version:1 (C.memo counted) in
+  let scratch = C.scratch () in
+  let write_all es =
+    List.iter
+      (fun e ->
+        if
+          not
+            (String.equal
+               (preimage_of_frame (C.encode plain e))
+               (scratch_image memoised scratch e))
+        then Alcotest.fail "evicting memo wrote a wrong image")
+      es
+  in
+  let cycle = List.concat [ engines; engines; engines ] in
+  write_all cycle;
+  Alcotest.(check int) "cyclic access over 6 values, 4 ways: all misses"
+    (List.length cycle) !writes;
+  let last4 = List.filteri (fun i _ -> i >= 2) engines in
+  writes := 0;
+  write_all (List.concat [ List.rev last4; last4; last4 ]);
+  Alcotest.(check int) "the four most recent values stay resident" 0 !writes;
+  write_all [ List.hd engines ];
+  Alcotest.(check int) "an evicted value is rewritten" 1 !writes;
+  (* one-shot encode bypasses the memo: the writer runs every time *)
+  writes := 0;
+  let e = List.hd engines in
+  ignore (C.encode memoised e);
+  ignore (C.encode memoised e);
+  Alcotest.(check int) "one-shot encode never consults the memo" 2 !writes
+
+(* Two domains encode the same states at once, each through its own
+   scratch; the memo lives in the scratch, so both must reproduce the
+   sequential images. *)
+let memo_two_domains () =
+  match
+    List.find_opt
+      (fun (Reg.Entry e) -> e.name = "vs-stack-faulty")
+      (stack_entries ())
+  with
+  | None -> Alcotest.fail "vs-stack-faulty missing from the registry"
+  | Some (Reg.Entry e) ->
+      let c = codec_of e.subject e.name in
+      let states = successor_walk ~max_states:600 e.subject in
+      let want = List.map (fun s -> preimage_of_frame (C.encode c s)) states in
+      let encode_all () =
+        let scratch = C.scratch () in
+        List.map (scratch_image c scratch) states
+      in
+      let ds = List.init 2 (fun _ -> Domain.spawn encode_all) in
+      List.iteri
+        (fun d dom ->
+          let got = Domain.join dom in
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d matches the sequential images" d)
+            true
+            (List.equal String.equal want got))
+        ds
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "codec"
@@ -495,6 +674,15 @@ let () =
             `Quick seeded_defect_injectivity;
           Alcotest.test_case "aliasing encoder fails the dedup differential"
             `Quick seeded_defect_differential;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "warm scratch images = one-shot bodies" `Quick
+            memo_matches_one_shot;
+          Alcotest.test_case "eviction past the ways stays exact" `Quick
+            memo_eviction;
+          Alcotest.test_case "two domains, one scratch each" `Quick
+            memo_two_domains;
         ] );
       ( "parity",
         [

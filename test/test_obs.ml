@@ -522,6 +522,32 @@ let test_prof_phases_disjoint () =
   Alcotest.(check bool) "stop idempotent" true
     ((Obs.Prof.report p).Obs.Prof.wall_ns = w)
 
+(* The accumulators hold immediate ints and the phase stack is a reused
+   array, so once warmed (stack grown, phases interned) a nested
+   enter/leave pair must not touch the minor heap at all. *)
+let test_prof_enter_leave_alloc_free () =
+  let p = Obs.Prof.create ~phases:[ "outer"; "inner" ] ~slots:1 () in
+  let outer = Obs.Prof.intern p "outer" in
+  let inner = Obs.Prof.intern p "inner" in
+  let pair () =
+    Obs.Prof.enter p ~slot:0 outer;
+    Obs.Prof.enter p ~slot:0 inner;
+    Obs.Prof.leave p ~slot:0 inner;
+    Obs.Prof.leave p ~slot:0 outer
+  in
+  pair ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    pair ()
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words over 1000 warmed pairs" 0.
+    (w1 -. w0);
+  let calls name =
+    List.find (fun t -> t.Obs.Prof.phase = name) (Obs.Prof.report p).totals
+  in
+  Alcotest.(check int) "every entry counted" 1_001 (calls "inner").calls
+
 let test_prof_explorer_parity () =
   (* profiled exploration returns byte-identical stats to unprofiled *)
   let cfg =
@@ -712,6 +738,8 @@ let () =
         [
           Alcotest.test_case "scoped phases, disjoint attribution" `Quick
             test_prof_phases_disjoint;
+          Alcotest.test_case "warmed enter/leave allocates nothing" `Quick
+            test_prof_enter_leave_alloc_free;
           Alcotest.test_case "profiled explorer parity" `Quick
             test_prof_explorer_parity;
         ] );

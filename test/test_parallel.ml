@@ -10,9 +10,10 @@
      variant is still caught by the per-transition refinement check under
      jobs:4.
    - Fingerprints: digests are chunking-independent, a known key string
-     pins the digest (any algorithm change must be deliberate), and across
-     a vs-stack exploration fingerprint equality coincides with key
-     equality (collision audit). *)
+     pins the digest (any algorithm change must be deliberate), the
+     one-shot digest allocates only its result, and across a vs-stack
+     exploration fingerprint equality coincides with key equality
+     (collision audit). *)
 
 open Prelude
 module Fp = Check.Fingerprint
@@ -51,6 +52,21 @@ let test_incremental_matches_whole () =
     ~count:500
     QCheck.(pair string (small_list small_nat))
     prop
+
+(* The one-shot digest keeps its lanes unboxed: per call it allocates
+   only the result (a two-field record and its two boxed lanes, 9 words),
+   however long the input. *)
+let test_one_shot_digest_allocates_only_result () =
+  let b = Bytes.init 203 (fun i -> Char.chr (i * 7 land 0xff)) in
+  ignore (Fp.of_bytes b ~pos:0 ~len:203);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Fp.of_bytes b ~pos:0 ~len:203))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. 1_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per digest (at most 9)" per_call)
+    true (per_call <= 9.)
 
 let test_distinct_strings_distinct_digests () =
   QCheck.Test.make ~name:"distinct strings digest distinctly" ~count:500
@@ -219,6 +235,8 @@ let () =
         [
           Alcotest.test_case "pinned digest" `Quick test_pinned_digest;
           qcheck_case (test_incremental_matches_whole ());
+          Alcotest.test_case "one-shot digest allocates only its result"
+            `Quick test_one_shot_digest_allocates_only_result;
           qcheck_case (test_distinct_strings_distinct_digests ());
           Alcotest.test_case "MSB transpositions digest apart" `Quick
             test_msb_transposition_resists;

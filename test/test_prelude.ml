@@ -163,6 +163,26 @@ let prop_nth_monotone_offsets =
           let s' = Seqs.remove_head s in
           List.for_all2 Int.equal (Seqs.to_list s') tl)
 
+(* [iter] and [fold_left] walk the slot map directly; after any mix of
+   appends and head removals they must visit exactly [to_list]'s
+   elements, in its order. *)
+let prop_traversals_match_to_list =
+  QCheck.Test.make ~name:"iter/fold_left agree with to_list" ~count:500
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let s =
+        List.fold_left
+          (fun s -> function
+            | Some x -> Seqs.append s x
+            | None -> if Seqs.is_empty s then s else Seqs.remove_head s)
+          Seqs.empty ops
+      in
+      let via_iter = ref [] in
+      Seqs.iter (fun x -> via_iter := x :: !via_iter) s;
+      let via_fold = Seqs.fold_left (fun acc x -> x :: acc) [] s in
+      let expected = Seqs.to_list s in
+      List.rev !via_iter = expected && List.rev via_fold = expected)
+
 (* ------------------------------------------------------------------ *)
 (* Proc / Gid / View                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -303,6 +323,7 @@ let () =
           qcheck_case prop_lub_upper_bound;
           qcheck_case prop_common_prefix;
           qcheck_case prop_nth_monotone_offsets;
+          qcheck_case prop_traversals_match_to_list;
         ] );
       ( "procs-views",
         [
