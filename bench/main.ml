@@ -927,115 +927,15 @@ let e14 m =
   gauge m "e14.refinement_failing" !bad
 
 (* ================================================================== *)
-(* E15 — Parallel exploration: states/sec, sequential vs parallel      *)
-(* ================================================================== *)
-
-(* The registry's vs-stack and vs-stack-faulty instances (generative_pure,
-   so candidate sets are a pure function of the state), explored to a fixed
-   depth — the [max_depth] cut is level-synchronized and thus deterministic
-   at every job count, unlike a [max_states] cut.  Counts must agree
-   exactly between jobs:1 and jobs:4; states/sec establishes the repo's
-   perf trajectory.  Speedup depends on the cores the host actually grants
-   (recorded as e15.recommended_domains). *)
-
-let e15 m =
-  section "E15 Parallel exploration core: sequential vs parallel states/sec";
-  gauge m "e15.recommended_domains" (Domain.recommended_domain_count ());
-  let universe = 2 and p0 = Proc.Set.universe 2 in
-  let subjects =
-    [
-      ( "vs_stack",
-        { (Stk.default_config ~payloads:[ "a" ] ~universe) with
-          Stk.max_views = 2; max_sends = 1 },
-        Stk.initial ~universe ~p0 (),
-        14 );
-      ( "vs_stack_faulty",
-        { (Stk.default_config ~payloads:[ "a" ] ~universe) with
-          Stk.max_views = 1; max_sends = 1 },
-        Stk.initial ~faults:(Vs_impl.Fault.adversarial ()) ~universe ~p0 (),
-        14 );
-    ]
-  in
-  row "%-16s | %-4s | %-8s | %-11s | %-9s | %-9s\n" "entry" "jobs" "states"
-    "states/sec" "alloc MB" "steals";
-  row "%s\n" (String.make 72 '-');
-  List.iter
-    (fun (name, cfg, init, max_depth) ->
-      let gen = Stk.generative_pure cfg in
-      let results =
-        List.map
-          (fun jobs ->
-            let em = Obs.Metrics.create () in
-            let a0 = Gc.allocated_bytes () in
-            let t0 = Obs.Metrics.now_ms () in
-            let outcome =
-              Check.Explorer.run gen ~key:Stk.state_key ~invariants:[]
-                ~max_states:2_000_000 ~max_depth ~jobs ~state_rng:true
-                ~metrics:em ~init ()
-            in
-            let elapsed = Obs.Metrics.now_ms () -. t0 in
-            (* [Gc.allocated_bytes] is domain-local: under jobs > 1 this is
-               the main domain's share only (a lower bound on the total) *)
-            let alloc_mb = (Gc.allocated_bytes () -. a0) /. 1e6 in
-            let stats = outcome.Check.Explorer.stats in
-            let sps =
-              if elapsed > 0. then
-                float_of_int stats.Check.Explorer.states /. (elapsed /. 1000.)
-              else 0.
-            in
-            let steals = Obs.Metrics.count em "explorer.steals" in
-            let pre = Printf.sprintf "e15.%s.jobs%d" name jobs in
-            gauge m (pre ^ ".states") stats.Check.Explorer.states;
-            gauge m (pre ^ ".transitions") stats.Check.Explorer.transitions;
-            gauge m (pre ^ ".depth") stats.Check.Explorer.depth;
-            Obs.Metrics.set m (pre ^ ".elapsed_ms") elapsed;
-            Obs.Metrics.set m (pre ^ ".states_per_sec") sps;
-            Obs.Metrics.set m (pre ^ ".alloc_mb") alloc_mb;
-            gauge m (pre ^ ".steals") steals;
-            gauge m (pre ^ ".shard_contention")
-              (Obs.Metrics.count em "explorer.shard_contention");
-            row "%-16s | %-4d | %-8d | %-11.0f | %-9.1f | %-9d\n" name jobs
-              stats.Check.Explorer.states sps alloc_mb steals;
-            (jobs, stats, outcome, sps))
-          [ 1; 4 ]
-      in
-      (* peak heap is a process-wide high-water mark, recorded once per
-         entry after both runs *)
-      gauge m
-        (Printf.sprintf "e15.%s.peak_heap_bytes" name)
-        ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8));
-      match results with
-      | [ (_, s1, o1, sps1); (_, s4, _, sps4) ] ->
-          let clean (o : _ Check.Explorer.outcome) =
-            o.Check.Explorer.violation = None
-            && o.Check.Explorer.step_failure = None
-            && o.Check.Explorer.key_clash = None
-          in
-          let parity = s1 = s4 && clean o1 in
-          gauge m (Printf.sprintf "e15.%s.parity" name) (Bool.to_int parity);
-          Obs.Metrics.set m
-            (Printf.sprintf "e15.%s.speedup" name)
-            (if sps1 > 0. then sps4 /. sps1 else 0.);
-          row "%-16s   parity %s, speedup %.2fx\n" name
-            (if parity then "ok" else "FAILED")
-            (if sps1 > 0. then sps4 /. sps1 else 0.)
-      | _ -> assert false)
-    subjects;
-  row
-    "\nparity: jobs:4 must reproduce jobs:1 state/transition/depth counts \
-     exactly\n(speedup scales with e15.recommended_domains; 1 grants no \
-     parallelism)\n"
-
-(* ================================================================== *)
 (* E16 — Reduced exploration: ample-set POR vs full, same verdicts      *)
 (* ================================================================== *)
 
 (* The registry's vs-stack and vs-stack-faulty entries explored twice to
    the same depth — once fully, once under the ample-set filter derived
    from each entry's declared footprint schema (the exact [?ample] the
-   analyzer's --reduce mode installs).  The depth cut is
-   level-synchronized, so both sides and every job count see the same
-   graph; the reduced side must reach the same
+   analyzer's --reduce mode installs).  The depth cut runs the
+   sequential engine, so both sides see the exact BFS graph to that
+   depth; the reduced side must reach the same
    violation/step-failure/deadlock verdict on strictly fewer states
    (lossless vs-stack) or honestly report ratio ~1 (vs-stack-faulty,
    whose drop/duplicate/reorder classes clash with every channel push —
@@ -1044,8 +944,6 @@ let e15 m =
 let e16 m =
   section "E16 Reduced exploration: ample-set POR vs full, per declared schema";
   let entries = Analysis.Registry.all () in
-  let jobs = max 1 (min 4 (Domain.recommended_domain_count ())) in
-  gauge m "e16.jobs" jobs;
   (* depth picks: vs-stack's lossless graph keeps shrinking relative to
      the full one as depth grows (0.71 @ 8, 0.50 @ 12, 0.38 @ 15); 15 is
      the deepest cut that keeps the full side under a CI minute.  The
@@ -1079,13 +977,11 @@ let e16 m =
             let outcome =
               Check.Explorer.run sub.Analysis.Analyzer.automaton
                 ~key:sub.Analysis.Analyzer.key ~invariants:invs
-                ~max_states:2_000_000 ~max_depth ~jobs ~state_rng:true
+                ~max_states:2_000_000 ~max_depth ~state_rng:true
                 ?check_step:sub.Analysis.Analyzer.check_step ?ample ~observe
                 ~metrics:em ~init:sub.Analysis.Analyzer.init ()
             in
             let elapsed = Obs.Metrics.now_ms () -. t0 in
-            (* domain-local alloc: under jobs > 1 the main domain's share
-               only, a lower bound — same caveat as E15 *)
             let alloc = Gc.allocated_bytes () -. a0 in
             let stats = outcome.Check.Explorer.stats in
             let sps =
@@ -1161,22 +1057,21 @@ let e16 m =
      push (ratio ~1, honest)\n"
 
 (* ================================================================== *)
-(* E17 — Phase-attributed profile of the parallel explorer             *)
+(* E17 — Phase-attributed profile of the explorer                     *)
 (* ================================================================== *)
 
-(* Where does E15's jobs:4 slowdown go?  The scoped-phase profiler
-   charges every worker's wall time to expand / fingerprint / dedup /
-   barrier-wait / steal, so the jobs:1-vs-jobs:4 comparison names the
-   dominant cost instead of guessing at it.  Allocation is accrued
-   per-domain (worker deltas + the main domain's), so bytes/state here is
-   the total the search allocates, not E15's main-domain lower bound.
-   Profiling must not perturb the search: each profiled run's stats are
-   checked against an unprofiled reference ([.parity]).  A second section
-   profiles the engine paths (send / retransmit / deliver) under the
-   adversarial random vs-stack execution. *)
+(* Where does the string-keyed vs-stack search spend its time?  The
+   scoped-phase profiler charges the search's wall time to expand /
+   fingerprint / dedup, so the dominant cost is named instead of guessed
+   at.  Allocation is accrued by the profiler, so bytes/state here is
+   the total the search allocates.  Profiling must not perturb the
+   search: the profiled run's stats are checked against an unprofiled
+   reference ([.parity]).  A second section profiles the engine paths
+   (send / retransmit / deliver) under the adversarial random vs-stack
+   execution. *)
 
 let e17 m =
-  section "E17 Phase-attributed profile: where the parallel explorer spends time";
+  section "E17 Phase-attributed profile: where the explorer spends time";
   let universe = 2 and p0 = Proc.Set.universe 2 in
   let cfg =
     { (Stk.default_config ~payloads:[ "a" ] ~universe) with
@@ -1185,95 +1080,66 @@ let e17 m =
   let init = Stk.initial ~universe ~p0 () in
   let max_depth = 14 in
   let gen = Stk.generative_pure cfg in
-  let ref_outcome =
+  let explore ?metrics ?prof () =
     Check.Explorer.run gen ~key:Stk.state_key ~invariants:[]
-      ~max_states:2_000_000 ~max_depth ~jobs:1 ~state_rng:true ~init ()
+      ~max_states:2_000_000 ~max_depth ~state_rng:true ?metrics ?prof ~init
+      ()
   in
-  let ref_stats = ref_outcome.Check.Explorer.stats in
-  row "%-4s | %-8s | %-11s | %-8s | %-10s | %s\n" "jobs" "states"
-    "states/sec" "B/state" "attributed" "phase split (ms)";
+  let ref_stats = (explore ()).Check.Explorer.stats in
+  row "%-8s | %-11s | %-8s | %-10s | %s\n" "states" "states/sec" "B/state"
+    "attributed" "phase split (ms)";
   row "%s\n" (String.make 100 '-');
+  let em = Obs.Metrics.create () in
+  let prof = Check.Explorer.profile ~jobs:1 in
+  let t0 = Obs.Metrics.now_ms () in
+  let outcome = explore ~metrics:em ~prof () in
+  let elapsed = Obs.Metrics.now_ms () -. t0 in
+  Obs.Prof.stop prof;
+  let r = Obs.Prof.report prof in
+  let stats = outcome.Check.Explorer.stats in
+  let states = stats.Check.Explorer.states in
+  let sps =
+    if elapsed > 0. then float_of_int states /. (elapsed /. 1000.) else 0.
+  in
+  let bps =
+    if states > 0 then r.Obs.Prof.alloc_bytes /. float_of_int states else 0.
+  in
+  let pre = "e17.vs_stack.jobs1" in
+  gauge m (pre ^ ".states") states;
+  gauge m (pre ^ ".depth") stats.Check.Explorer.depth;
+  Obs.Metrics.set m (pre ^ ".elapsed_ms") elapsed;
+  Obs.Metrics.set m (pre ^ ".states_per_sec") sps;
+  Obs.Metrics.set m (pre ^ ".bytes_per_state") bps;
+  gauge m (pre ^ ".parity") (Bool.to_int (stats = ref_stats));
+  Obs.Prof.to_metrics prof ~prefix:pre m;
+  (* the explorer's histograms (frontier size, per-state expand latency),
+     summarized into the snapshot *)
   List.iter
-    (fun jobs ->
-      let em = Obs.Metrics.create () in
-      let prof = Check.Explorer.profile ~jobs in
-      let t0 = Obs.Metrics.now_ms () in
-      let outcome =
-        Check.Explorer.run gen ~key:Stk.state_key ~invariants:[]
-          ~max_states:2_000_000 ~max_depth ~jobs ~state_rng:true ~metrics:em
-          ~prof ~init ()
-      in
-      let elapsed = Obs.Metrics.now_ms () -. t0 in
-      Obs.Prof.stop prof;
-      let r = Obs.Prof.report prof in
-      let stats = outcome.Check.Explorer.stats in
-      let states = stats.Check.Explorer.states in
-      let sps =
-        if elapsed > 0. then float_of_int states /. (elapsed /. 1000.) else 0.
-      in
-      let bps =
-        if states > 0 then r.Obs.Prof.alloc_bytes /. float_of_int states
-        else 0.
-      in
-      let pre = Printf.sprintf "e17.vs_stack.jobs%d" jobs in
-      gauge m (pre ^ ".states") states;
-      gauge m (pre ^ ".depth") stats.Check.Explorer.depth;
-      Obs.Metrics.set m (pre ^ ".elapsed_ms") elapsed;
-      Obs.Metrics.set m (pre ^ ".states_per_sec") sps;
-      Obs.Metrics.set m (pre ^ ".bytes_per_state") bps;
-      gauge m (pre ^ ".parity") (Bool.to_int (stats = ref_stats));
-      Obs.Prof.to_metrics prof ~prefix:pre m;
-      (* the explorer's histograms (frontier size per level, per-state
-         expand latency, stolen-batch size), summarized into the snapshot *)
-      List.iter
-        (fun (key, short) ->
-          match
-            List.assoc_opt key (Obs.Metrics.snapshot em).Obs.Metrics.histograms
-          with
-          | Some (Some s) ->
-              gauge m (Printf.sprintf "%s.%s.n" pre short) s.Stats.n;
-              Obs.Metrics.set m (Printf.sprintf "%s.%s.mean" pre short)
-                s.Stats.mean;
-              Obs.Metrics.set m (Printf.sprintf "%s.%s.p90" pre short)
-                s.Stats.p90;
-              Obs.Metrics.set m (Printf.sprintf "%s.%s.max" pre short)
-                s.Stats.max
-          | Some None | None -> ())
-        [
-          ("explorer.frontier", "frontier");
-          ("explorer.expand_latency_us", "expand_latency_us");
-          ("explorer.steal_batch", "steal_batch");
-        ];
-      let split =
-        String.concat ", "
-          (List.map
-             (fun t ->
-               Printf.sprintf "%s %.0f" t.Obs.Prof.phase
-                 (Int64.to_float t.Obs.Prof.ns /. 1e6))
-             r.Obs.Prof.totals)
-      in
-      row "%-4d | %-8d | %-11.0f | %-8.0f | %-10s | %s\n" jobs states sps bps
-        (Stats.pct r.Obs.Prof.attributed)
-        split;
-      if jobs > 1 then begin
-        let dominant =
-          List.fold_left
-            (fun acc t -> match acc with
-              | Some best when Int64.compare best.Obs.Prof.ns t.Obs.Prof.ns >= 0
-                -> acc
-              | _ -> Some t)
-            None r.Obs.Prof.totals
-        in
-        match dominant with
-        | Some t ->
-            row "       dominant phase at jobs:%d: %s (%.0f ms of %.0f ms \
-                 total worker time)\n"
-              jobs t.Obs.Prof.phase
-              (Int64.to_float t.Obs.Prof.ns /. 1e6)
-              (Int64.to_float r.Obs.Prof.wall_ns /. 1e6 *. float_of_int jobs)
-        | None -> ()
-      end)
-    [ 1; 4 ];
+    (fun (key, short) ->
+      match
+        List.assoc_opt key (Obs.Metrics.snapshot em).Obs.Metrics.histograms
+      with
+      | Some (Some s) ->
+          gauge m (Printf.sprintf "%s.%s.n" pre short) s.Stats.n;
+          Obs.Metrics.set m (Printf.sprintf "%s.%s.mean" pre short) s.Stats.mean;
+          Obs.Metrics.set m (Printf.sprintf "%s.%s.p90" pre short) s.Stats.p90;
+          Obs.Metrics.set m (Printf.sprintf "%s.%s.max" pre short) s.Stats.max
+      | Some None | None -> ())
+    [
+      ("explorer.frontier", "frontier");
+      ("explorer.expand_latency_us", "expand_latency_us");
+    ];
+  let split =
+    String.concat ", "
+      (List.map
+         (fun t ->
+           Printf.sprintf "%s %.0f" t.Obs.Prof.phase
+             (Int64.to_float t.Obs.Prof.ns /. 1e6))
+         r.Obs.Prof.totals)
+  in
+  row "%-8d | %-11.0f | %-8.0f | %-10s | %s\n" states sps bps
+    (Stats.pct r.Obs.Prof.attributed)
+    split;
   (* engine paths under the adversarial random execution: the generative
      stack charges send / retransmit / deliver per transition *)
   let eprof = Obs.Prof.create ~slots:1 () in
@@ -1305,18 +1171,18 @@ let e17 m =
               t.Obs.Prof.calls)
           er.Obs.Prof.totals));
   row
-    "\nparity: profiled runs must reproduce the unprofiled state counts \
-     exactly\n(attributed: fraction of summed worker wall time the five \
-     phases explain)\n"
+    "\nparity: the profiled run must reproduce the unprofiled stats \
+     exactly\n(attributed: fraction of the search's wall time the phases \
+     explain)\n"
 
 
 (* ================================================================== *)
 (* E18 — Flat codec fingerprinting and hash-compacted throughput mode *)
 (* ================================================================== *)
 
-(* E15/E17 put the vs-stack explorer near 180 KB allocated per state,
+(* E17 puts the vs-stack explorer near 180 KB allocated per state,
    dominated by rendering every state to its canonical string key.  E18
-   re-runs the same depth-14 vs-stack search under three engines:
+   re-runs the same depth-14 vs-stack search in three configurations:
 
      string    — the baseline: state_key strings, full seen-table;
      flat-det  — Check.Codec flat encoding feeds the fingerprint, the
@@ -1325,12 +1191,12 @@ let e17 m =
                  128-bit fingerprint per visited state is retained.
 
    The two flat engines compute identical fingerprints, so they must
-   visit identical graphs ([.parity] gates on it at both job counts).
+   visit identical graphs ([.parity] gates on it).
    The string baseline explores a slightly different graph on this entry
    (the per-state RNG is seeded from the fingerprint and the generator is
    rng-gated), so the headline bytes/state comparison is a
    cost-per-visited-state ratio, not a bit-identical replay.  Allocation
-   is accrued per-domain via the profiler, as in E17. *)
+   is accrued via the profiler, as in E17. *)
 
 let e18 m =
   section
@@ -1347,17 +1213,17 @@ let e18 m =
     Check.Codec.make ~id:"vs-stack" ~version:1
       (Stk.codec_state Check.Codec.string)
   in
-  row "%-9s | %-4s | %-8s | %-11s | %-10s | %s\n" "engine" "jobs" "states"
-    "states/sec" "B/state" "verdict";
-  row "%s\n" (String.make 70 '-');
-  let run_engine ~engine ~jobs =
+  row "%-9s | %-8s | %-11s | %-10s | %s\n" "engine" "states" "states/sec"
+    "B/state" "verdict";
+  row "%s\n" (String.make 63 '-');
+  let run_engine ~engine =
     let use_codec = engine <> "string" in
     let mode = if engine = "flat_thr" then `Throughput else `Deterministic in
-    let prof = Check.Explorer.profile ~jobs in
+    let prof = Check.Explorer.profile ~jobs:1 in
     let t0 = Obs.Metrics.now_ms () in
     let outcome =
       Check.Explorer.run gen ~key:Stk.state_key ~invariants:[]
-        ~max_states:2_000_000 ~max_depth ~jobs ~state_rng:true
+        ~max_states:2_000_000 ~max_depth ~state_rng:true
         ?codec:(if use_codec then Some codec else None)
         ~mode ~prof ~init ()
     in
@@ -1377,35 +1243,27 @@ let e18 m =
       | Some v -> "violation:" ^ v.Ioa.Invariant.invariant
       | None -> "clean"
     in
-    let pre = Printf.sprintf "e18.vs_stack.%s.jobs%d" engine jobs in
+    let pre = Printf.sprintf "e18.vs_stack.%s.jobs1" engine in
     gauge m (pre ^ ".states") states;
     gauge m (pre ^ ".transitions") stats.Check.Explorer.transitions;
     gauge m (pre ^ ".depth") stats.Check.Explorer.depth;
     Obs.Metrics.set m (pre ^ ".elapsed_ms") elapsed;
     Obs.Metrics.set m (pre ^ ".states_per_sec") sps;
     Obs.Metrics.set m (pre ^ ".bytes_per_state") bps;
-    row "%-9s | %-4d | %-8d | %-11.0f | %-10.0f | %s\n" engine jobs states
-      sps bps verdict;
+    row "%-9s | %-8d | %-11.0f | %-10.0f | %s\n" engine states sps bps verdict;
     (stats, sps, bps, verdict)
   in
-  List.iter
-    (fun jobs ->
-      let _, _, string_bps, string_v = run_engine ~engine:"string" ~jobs in
-      let dstats, _, _, det_v = run_engine ~engine:"flat_det" ~jobs in
-      let tstats, _, thr_bps, thr_v = run_engine ~engine:"flat_thr" ~jobs in
-      let parity = dstats = tstats && det_v = thr_v in
-      gauge m (Printf.sprintf "e18.vs_stack.jobs%d.parity" jobs)
-        (Bool.to_int parity);
-      gauge m
-        (Printf.sprintf "e18.vs_stack.jobs%d.verdicts_agree" jobs)
-        (Bool.to_int (string_v = det_v && det_v = thr_v));
-      let ratio = if thr_bps > 0. then string_bps /. thr_bps else 0. in
-      Obs.Metrics.set m
-        (Printf.sprintf "e18.vs_stack.jobs%d.bytes_reduction" jobs)
-        ratio;
-      row "jobs %d: flat-det = flat-thr graph parity %b; bytes/state %.0f -> %.0f (%.1fx)\n"
-        jobs parity string_bps thr_bps ratio)
-    [ 1; 4 ];
+  let _, _, string_bps, string_v = run_engine ~engine:"string" in
+  let dstats, _, _, det_v = run_engine ~engine:"flat_det" in
+  let tstats, _, thr_bps, thr_v = run_engine ~engine:"flat_thr" in
+  let parity = dstats = tstats && det_v = thr_v in
+  gauge m "e18.vs_stack.jobs1.parity" (Bool.to_int parity);
+  gauge m "e18.vs_stack.jobs1.verdicts_agree"
+    (Bool.to_int (string_v = det_v && det_v = thr_v));
+  let ratio = if thr_bps > 0. then string_bps /. thr_bps else 0. in
+  Obs.Metrics.set m "e18.vs_stack.jobs1.bytes_reduction" ratio;
+  row "flat-det = flat-thr graph parity %b; bytes/state %.0f -> %.0f (%.1fx)\n"
+    parity string_bps thr_bps ratio;
   row
     "\nparity: the two codec-fed engines must visit identical graphs; \
      bytes_reduction\nis the string-baseline allocation per visited state \
@@ -1415,10 +1273,8 @@ let e18 m =
 (* E19 — Barrier-free sharded parallel exploration: scaling sweep      *)
 (* ================================================================== *)
 
-(* The level-synchronized engine (E15/E17/E18) stops scaling once the
-   per-level barrier and the striped seen-set dominate: every level ends
-   with every domain waiting on the slowest.  E19 sweeps the barrier-free
-   sharded engine (jobs ∈ {1, 2, 4}) over two vs-stack instances —
+(* E19 sweeps the barrier-free sharded engine (jobs ∈ {1, 2, 4}) over
+   two vs-stack instances —
    a quota-capped clean run and an exhaustive faulty-transport run —
    and records:
 
@@ -1546,7 +1402,7 @@ let e19 m =
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13);
-    ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19) ]
+    ("e14", e14); ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19) ]
 
 let () =
   let requested =

@@ -17,11 +17,6 @@
 
 open Cmdliner
 
-(* Worker-domain default: one per recommended core, capped — beyond a few
-   domains the small registry instances are contention-bound, not
-   compute-bound. *)
-let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
-
 let run_entry ~max_states_override ~max_depth ~jobs ~footprint ~reduce
     (Analysis.Registry.Entry e) =
   let max_states =
@@ -38,10 +33,10 @@ let run_entry ~max_states_override ~max_depth ~jobs ~footprint ~reduce
    (violation / step-failure / deadlock / clean), plus states/sec.
    `deterministic` keeps the full seen-table (retained keys,
    parity-auditable); `throughput` switches the explorer to the
-   hash-compacted fingerprint set and, at jobs > 1 without a depth bound,
-   to the barrier-free sharded engine.  Both fingerprint states from the
-   flat Check.Codec encoding when the entry ships one, so clean
-   exhaustive runs agree on counts and verdicts by construction. *)
+   hash-compacted fingerprint set.  At jobs > 1 without a depth bound
+   either mode runs on the barrier-free sharded engine.  Both fingerprint
+   states from the flat Check.Codec encoding when the entry ships one, so
+   clean exhaustive runs agree on counts and verdicts by construction. *)
 let run_raw ~selected ~max_states_override ~max_depth ~jobs ~mode =
   let failed = ref false in
   List.iter
@@ -180,7 +175,6 @@ let run () names list json max_states max_depth jobs shrink cex_out footprint
                 exit 2)
           ns
   in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   match mode with
   | ("deterministic" | "throughput") as m ->
       run_raw ~selected ~max_states_override:max_states ~max_depth ~jobs
@@ -250,12 +244,14 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains per exploration (default: recommended domain \
-             count, capped at 8).  Findings and counts are identical at \
-             every job count.")
+            "Worker domains per exploration.  Above 1 (and without \
+             --max-depth) the search runs on the sharded engine: on an \
+             exhaustive run findings and counts are identical at every job \
+             count, but a --max-states cut admits a scheduling-dependent \
+             prefix.")
   in
   let shrink =
     Arg.(
@@ -304,11 +300,9 @@ let () =
              static-analysis pass.  $(b,deterministic) and $(b,throughput) \
              instead run one plain codec-fed exploration per entry and print \
              states, depth, throughput and the verdict: deterministic keeps \
-             the full seen-table (level-synchronized parallel BFS), \
-             throughput stores only 128-bit fingerprints and, at --jobs > 1 \
-             without --max-depth, switches to the barrier-free sharded \
-             engine.  Clean exhaustive runs visit the same graph in every \
-             mode, so counts and verdicts agree.")
+             the full seen-table, throughput stores only 128-bit \
+             fingerprints.  Clean exhaustive runs visit the same graph in \
+             every mode, so counts and verdicts agree.")
   in
   let reduce =
     Arg.(

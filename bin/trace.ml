@@ -20,9 +20,6 @@ open Cmdliner
 (* Modes                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker-domain default for --explore, as in bin/analyze. *)
-let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
-
 (* Finish a --profile run: freeze, fold into the metrics registry (so
    --json carries the phase split) and print the human report. *)
 let finish_profile metrics ~prefix = function
@@ -39,12 +36,10 @@ let run_entry (Analysis.Registry.Entry e) ~steps ~seed ~explore ~reduce
   if explore && mode <> `Analysis then begin
     (* Raw engine run, as bin/analyze --mode: no analysis passes, just the
        exploration with the event stream, counters and profile attached —
-       `throughput` at jobs > 1 exercises the barrier-free sharded
-       engine. *)
+       jobs > 1 exercises the barrier-free sharded engine. *)
     let max_states =
       match max_states with Some n -> n | None -> e.max_states
     in
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
     let prof = if profile then Some (Check.Explorer.profile ~jobs) else None in
     let mode =
       match mode with `Throughput -> `Throughput | _ -> `Deterministic
@@ -62,7 +57,6 @@ let run_entry (Analysis.Registry.Entry e) ~steps ~seed ~explore ~reduce
     let max_states =
       match max_states with Some n -> n | None -> e.max_states
     in
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
     let prof = if profile then Some (Check.Explorer.profile ~jobs) else None in
     let r =
       Analysis.Analyzer.analyze ~name:e.name ~max_states ~jobs ~reduce ~sink
@@ -306,11 +300,11 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for --explore (default: recommended domain \
-             count, capped at 8).")
+            "Worker domains for --explore; above 1 the search runs on the \
+             sharded engine.")
   in
   let mode =
     Arg.(
@@ -327,11 +321,11 @@ let () =
           ~doc:
             "With --explore: $(b,analysis) (default) runs the full analyzer \
              pass; $(b,deterministic) and $(b,throughput) run one raw \
-             exploration on the corresponding engine instead — at --jobs > 1 \
-             throughput uses the barrier-free sharded engine, so its \
-             progress events, explorer.handoff_batches / ring_full_stalls \
-             counters and route/flush/idle profile phases show up in the \
-             stream and summary.")
+             exploration in the corresponding mode instead — at --jobs > 1 \
+             on the barrier-free sharded engine, so its progress events, \
+             explorer.handoff_batches / ring_full_stalls counters and \
+             route/flush/idle profile phases show up in the stream and \
+             summary.")
   in
   let procs =
     Arg.(value & opt int 10 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Universe size.")
@@ -352,10 +346,10 @@ let () =
       & info [ "profile" ]
           ~doc:
             "Attach the scoped-phase profiler: per-worker expand / \
-             fingerprint / dedup / barrier-wait / steal attribution for \
-             --entry --explore, send / retransmit / deliver for the \
-             vs-stack scenarios.  Prints the report and folds it into the \
-             metrics summary as gauges.")
+             encode / fingerprint / dedup (plus route / flush / idle at \
+             --jobs > 1) attribution for --entry --explore, send / \
+             retransmit / deliver for the vs-stack scenarios.  Prints the \
+             report and folds it into the metrics summary as gauges.")
   in
   let term =
     Term.(

@@ -603,8 +603,8 @@ let explore_raw (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   let codec = if use_codec then sub.codec else None in
   (* Same dead-end notion as [find_cex]: a state with no enabled candidate
      that the subject does not declare quiescent.  Observation only — it
-     cannot perturb the explored graph, and the explorer serializes
-     [observe] calls on both parallel engines. *)
+     cannot perturb the explored graph, and the sharded explorer
+     serializes [observe] calls. *)
   let deadlock = ref false in
   let observe =
     match sub.quiescent with

@@ -104,10 +104,13 @@ type ('s, 'a) subject = {
 }
 
 (** [?jobs] (default 1) runs the exploration on that many OCaml 5 domains
-    ({!Check.Explorer.run}'s parallel engine).  The analyzer always enables
-    the explorer's per-state RNG discipline, so the explored graph — and
-    every count and finding — is independent of the job count; the subject's
-    automaton must then be thread-safe for [jobs > 1] (true of the
+    ({!Check.Explorer.run}'s sharded engine; a [?max_depth] bound keeps it
+    on the sequential engine).  The analyzer always enables the explorer's
+    per-state RNG discipline, so on an exhaustive run the explored graph —
+    and every count and finding — is independent of the job count, the
+    reported depth aside (a discovery depth at [jobs > 1]); a [max_states]
+    cut keeps the exact state count but a scheduling-dependent prefix.  The
+    subject's automaton must be thread-safe for [jobs > 1] (true of the
     [generative_pure]-packaged registry entries).
 
     [?sink]/[?metrics]/[?prof] are forwarded to {!Check.Explorer.run}
@@ -151,12 +154,12 @@ type raw = {
     RNG forced, as everywhere in the analyzer) and returns its stats and
     verdicts.  With [~use_codec:true] (the default) and a subject codec,
     states are fingerprinted from their flat {!Check.Codec} encoding;
-    [~mode:`Throughput] additionally switches the explorer to the
-    hash-compacted seen-set ({!Check.Explorer.run}'s [?mode]), and — at
-    [jobs > 1] without a depth bound — to the barrier-free sharded engine.
-    On clean exhaustive runs the explored graph and all verdicts are
-    identical across the two modes by construction (what the parity suite
-    asserts); sharded truncated runs keep exact state counts but a
+    [~mode:`Throughput] switches the explorer to the hash-compacted
+    seen-set ({!Check.Explorer.run}'s [?mode]); [jobs > 1] without a depth
+    bound runs either mode on the barrier-free sharded engine.  On clean
+    exhaustive runs the explored graph and all verdicts are identical
+    across the two modes by construction (what the parity suite asserts);
+    sharded truncated runs keep exact state counts but a
     scheduling-dependent prefix, and sharded depths are discovery depths.
     [~use_codec:false] is the string-keyed baseline; on entries with
     RNG-gated generators its explored graph differs from the codec-fed one

@@ -34,20 +34,14 @@ let component = "check.explorer"
    stepping ("expand"), flat codec serialization ("encode" — only the
    codec path spends time here; the string path renders inside
    "fingerprint"), key digesting ("fingerprint") and the seen-set
-   section ("dedup") are common to every engine.  The level-synchronized
-   engine adds its synchronization costs — "barrier-wait" (per-level
-   domain spawn gap + end-of-level idle) and "steal" (cross-slice
-   frontier claiming); the sharded barrier-free engine instead charges
-   "route" (pushing successor batches into other workers' rings,
-   including full-ring retries), "flush" (draining the own inbound ring)
-   and "idle" (spinning at an empty frontier waiting for handoffs or
-   global quiescence).  Nested phases pause the enclosing one, so the
-   attributions stay disjoint. *)
+   section ("dedup") are common to both engines.  The sharded engine adds
+   its coordination costs: "route" (pushing successor batches into other
+   workers' rings, including full-ring retries), "flush" (draining the
+   own inbound ring) and "idle" (spinning at an empty frontier waiting
+   for handoffs or global quiescence).  Nested phases pause the enclosing
+   one, so the attributions stay disjoint. *)
 let prof_phases =
-  [
-    "expand"; "encode"; "fingerprint"; "dedup"; "barrier-wait"; "steal";
-    "route"; "flush"; "idle";
-  ]
+  [ "expand"; "encode"; "fingerprint"; "dedup"; "route"; "flush"; "idle" ]
 
 let profile ~jobs =
   Obs.Prof.create ~phases:prof_phases ~slots:(max 1 jobs) ()
@@ -61,20 +55,12 @@ let progress_event sink (stats : stats) ~frontier =
       ("depth", Obs.Trace.Int stats.depth);
     ]
 
-(* Parallel-engine tuning.  The seen-set is striped over [shard_count]
-   mutexes, indexed by the fingerprint's high lane (decorrelated from the
-   per-shard table hash, which folds the low lane); frontier slices are
-   claimed in blocks of [steal_block] entries so one fetch-and-add
-   amortizes over many expansions. *)
-let shard_count = 64
-let steal_block = 32
-
-(* Sharded-engine tuning (the barrier-free throughput engine): successors
-   bound for another worker accumulate in a per-destination buffer until
-   [flush_batch] of them hand off as a single ring push; [ring_capacity]
-   bounds each worker's inbound ring in batches (a full ring reports a
-   stall instead of blocking); [expand_chunk] paces how many frontier
-   entries a worker expands between drains of its inbound ring. *)
+(* Sharded-engine tuning: successors bound for another worker accumulate
+   in a per-destination buffer until [flush_batch] of them hand off as a
+   single ring push; [ring_capacity] bounds each worker's inbound ring in
+   batches (a full ring reports a stall instead of blocking);
+   [expand_chunk] paces how many frontier entries a worker expands
+   between drains of its inbound ring. *)
 let flush_batch = 64
 let ring_capacity = 256
 let expand_chunk = 64
@@ -107,8 +93,6 @@ let run (type s a)
   let ph_encode = iphase "encode" in
   let ph_fp = iphase "fingerprint" in
   let ph_dedup = iphase "dedup" in
-  let ph_barrier = iphase "barrier-wait" in
-  let ph_steal = iphase "steal" in
   let ph_route = iphase "route" in
   let ph_flush = iphase "flush" in
   let ph_idle = iphase "idle" in
@@ -134,8 +118,13 @@ let run (type s a)
   in
   (* Parallel exploration requires candidate sets that are a pure function
      of the state — visit order is scheduling-dependent — so [jobs > 1]
-     forces the per-state RNG discipline on. *)
+     forces the per-state RNG discipline on, also when a depth cut then
+     runs the search sequentially: the explored graph stays the one every
+     job count sees. *)
   let state_rng = jobs > 1 || Option.value state_rng ~default:false in
+  (* A depth cut needs true BFS depths, and only the sequential engine has
+     them: the sharded engine knows discovery depths only. *)
+  let jobs = if Option.is_some max_depth then 1 else jobs in
   (* Retain representative states only when auditing the key function; plain
      exploration keeps the table light by storing [init] for every slot. *)
   let retain = Option.is_some check_key in
@@ -181,7 +170,7 @@ let run (type s a)
   let init = match canon with Some f -> f init | None -> init in
   let init_fp = fingerprint ~slot:0 init in
   let finalize ~stats ~violation ~violation_step ~step_failure ~key_clash
-      ~trace:trace_opt ~steals ~contention ~por_skipped ~orbit_collapsed =
+      ~trace:trace_opt ~por_skipped ~orbit_collapsed =
     (match sink with
     | None -> ()
     | Some s ->
@@ -199,8 +188,6 @@ let run (type s a)
         Obs.Metrics.incr ~by:stats.transitions m "explorer.transitions";
         Obs.Metrics.set m "explorer.depth" (float_of_int stats.depth);
         Obs.Metrics.set m "explorer.workers" (float_of_int jobs);
-        Obs.Metrics.incr ~by:steals m "explorer.steals";
-        Obs.Metrics.incr ~by:contention m "explorer.shard_contention";
         (match ample with
         | None -> ()
         | Some _ -> Obs.Metrics.incr ~by:por_skipped m "explorer.por_skipped");
@@ -227,7 +214,7 @@ let run (type s a)
     (* ---------------- sequential engine ---------------------------- *)
     (* A fixed RNG makes generative candidate sets deterministic along the
        BFS order; with [state_rng] they are instead a pure function of each
-       state's fingerprint (the discipline the parallel engine uses), so
+       state's fingerprint (the discipline the sharded engine uses), so
        the explored graph is identical at every job count. *)
     let rng = Random.State.make seed in
     let seen : s Fingerprint.Table.t =
@@ -409,20 +396,20 @@ let run (type s a)
     loop ();
     finalize ~stats:(stats ()) ~violation:!violation
       ~violation_step:!violation_step ~step_failure:!step_failure
-      ~key_clash:!key_clash ~trace:parents ~steals:0 ~contention:0
-      ~por_skipped:!por_skipped ~orbit_collapsed:!orbit_collapsed
+      ~key_clash:!key_clash ~trace:parents ~por_skipped:!por_skipped
+      ~orbit_collapsed:!orbit_collapsed
   end
-  else if throughput && max_depth = None then begin
+  else begin
     (* ---------------- sharded barrier-free engine ------------------- *)
-    (* Throughput-mode parallel search without level barriers: the
-       fingerprint space is range-partitioned over the workers
-       ([Fingerprint.shard]), and each worker domain exclusively owns its
-       shard's seen-set — an unshared [Fingerprint.Set], no mutex, no
+    (* Parallel search without level barriers: the fingerprint space is
+       range-partitioned over the workers ([Fingerprint.shard]), and each
+       worker domain exclusively owns its shard's seen-set — no mutex, no
        striping — plus a private frontier queue.  Successors that hash
        into another worker's shard are batched per destination and handed
        off through that worker's bounded MPSC {!Ring}; everything else
        stays local.  Because admission always runs on the owning domain,
-       the dedup decision itself is single-threaded per shard; the only
+       the dedup decision — and with it the [check_key] audit and the
+       [trace] parent record — is single-threaded per shard; the only
        shared-write hot path left is the state-count reservation, one
        wait-free fetch-and-add per fresh state.
 
@@ -431,7 +418,7 @@ let run (type s a)
        [stats.depth] reports the maximum *discovery* depth — an upper
        bound on the BFS eccentricity, tight only when shortest paths are
        discovered first.  [max_depth] cuts need true BFS depths, so those
-       runs are routed to the level-synchronized engine (dispatch above).
+       runs go to the sequential engine (dispatch above).
 
        Termination is distributed quiescence over one credit counter:
        [pending] is incremented the moment a successor is routed (before
@@ -442,16 +429,34 @@ let run (type s a)
        expansion exists anywhere: the global done condition.
 
        On exhaustive runs the explored graph is the same state set and
-       transition multiset as the other engines': per-state RNG makes
+       transition multiset as the sequential engine's: per-state RNG makes
        candidate draws order-independent, codec/key fingerprints agree,
        and dedup classes are engine-invariant.  Only discovery order —
        and with it [depth], and which states a [max_states] cut happens
-       to admit — is scheduling-dependent. *)
-    let seen =
-      Array.init jobs (fun _ -> Fingerprint.Set.create ~capacity:4096 ())
+       to admit — is scheduling-dependent.
+
+       Each shard's seen-set is the sequential engine's, cut to the
+       shard: bare fingerprints under hash compaction, otherwise a table
+       of representatives, plus the shard's slice of the parent table
+       under [~trace] (merged after the join). *)
+    let compacted =
+      if throughput then
+        Some (Array.init jobs (fun _ -> Fingerprint.Set.create ~capacity:4096 ()))
+      else None
     in
-    let rings : (int * s * Fingerprint.t * (s * a) option) array Ring.t array
-        =
+    let seen : s Fingerprint.Table.t array =
+      Array.init jobs (fun _ ->
+          Fingerprint.Table.create (if throughput then 1 else 4096))
+    in
+    let parents =
+      if trace then
+        Some (Array.init jobs (fun _ -> Fingerprint.Table.create 4096))
+      else None
+    in
+    let rings :
+        (int * s * Fingerprint.t * (Fingerprint.t * int * s * a) option) array
+        Ring.t
+        array =
       Array.init jobs (fun _ -> Ring.create ~capacity:ring_capacity)
     in
     let frontiers : (int * s * Fingerprint.t) Queue.t array =
@@ -472,12 +477,15 @@ let run (type s a)
     let violation = ref None in
     let violation_step = ref None in
     let step_failure = ref None in
+    let key_clash = ref None in
     let record cell v =
       Mutex.lock result_mu;
       if Option.is_none !cell then cell := Some v;
       Mutex.unlock result_mu;
       Atomic.set stop true
     in
+    (* The violation and its incoming transition are published as one
+       unit: a racing worker's violation must not pair with ours. *)
     let record_violation v vstep =
       Mutex.lock result_mu;
       if Option.is_none !violation then begin
@@ -487,17 +495,39 @@ let run (type s a)
       Mutex.unlock result_mu;
       Atomic.set stop true
     in
+    (* Serializes the [observe] callback and progress emission: neither
+       the analyzer's observation accumulator nor the sink implementations
+       are required to be thread-safe. *)
     let aux_mu = Mutex.create () in
     (* Admission, called only from the shard's owning domain (or from the
        main domain for [init], before any worker is spawned).  Slot
        [max_states + 1] is the crossing state — counted and
-       invariant-checked but never expanded, matching the other engines —
+       invariant-checked but never expanded, as in the sequential engine —
        and any racing reservation beyond it is handed back, so the final
        count is exact.  [true] iff the state belongs on the owner's
        frontier. *)
     let admit ~wid depth state fp via =
       pf_enter ~slot:wid ph_dedup;
-      let fresh = Fingerprint.Set.add seen.(wid) fp in
+      let fresh =
+        match compacted with
+        | Some sets -> Fingerprint.Set.add sets.(wid) fp
+        | None -> (
+            match Fingerprint.Table.find_opt seen.(wid) fp with
+            | Some rep ->
+                (match check_key with
+                | Some equal when not (equal rep state) ->
+                    record key_clash (rep, state)
+                | Some _ | None -> ());
+                false
+            | None ->
+                Fingerprint.Table.add seen.(wid) fp
+                  (if retain then state else init);
+                (match (parents, via) with
+                | Some ps, Some (pfp, idx, _, _) ->
+                    Fingerprint.Table.replace ps.(wid) fp (pfp, idx)
+                | _ -> ());
+                true)
+      in
       pf_leave ~slot:wid ph_dedup;
       fresh
       && begin
@@ -512,7 +542,7 @@ let run (type s a)
              | Some v ->
                  record_violation v
                    (Option.map
-                      (fun (pre, action) ->
+                      (fun (_, _, pre, action) ->
                         { Ioa.Exec.pre; action; post = state })
                       via);
                  false
@@ -534,9 +564,7 @@ let run (type s a)
       in
       let frontier = frontiers.(wid) in
       let ring = rings.(wid) in
-      let outbuf : (int * s * Fingerprint.t * (s * a) option) list array =
-        Array.make jobs []
-      in
+      let outbuf = Array.make jobs [] in
       let outcount = Array.make jobs 0 in
       (* Drains the inbound ring: each popped batch is admitted against
          the own shard; a fresh state keeps its credit (it now stands for
@@ -672,8 +700,8 @@ let run (type s a)
                   |> ignore;
                   sub)
         in
-        List.iter
-          (fun action ->
+        List.iteri
+          (fun idx action ->
             if not (Atomic.get stop) then begin
               let post = A.step state action in
               transitions.(wid) <- transitions.(wid) + 1;
@@ -685,7 +713,7 @@ let run (type s a)
                   | Ok () -> ()
                   | Error msg -> record step_failure (step, msg)));
               if not (Atomic.get stop) then
-                route (depth + 1) post (state, action)
+                route (depth + 1) post (fp, idx, state, action)
             end)
           fired;
         obs_latency lat0;
@@ -762,405 +790,16 @@ let run (type s a)
         truncated = Atomic.get truncated;
       }
     in
-    finalize ~stats ~violation:!violation ~violation_step:!violation_step
-      ~step_failure:!step_failure ~key_clash:None ~trace:None ~steals:0
-      ~contention:0 ~por_skipped:(Atomic.get por_skipped)
-      ~orbit_collapsed:(Atomic.get orbit_collapsed)
-  end
-  else begin
-    (* ---------------- parallel engine ------------------------------ *)
-    (* Level-synchronized BFS over OCaml 5 domains: all states at depth [d]
-       are expanded (by any worker) before any state at depth [d + 1], so a
-       state is always admitted at its true BFS depth and the [max_depth]
-       cut is independent of scheduling.  Within a level, each worker
-       drains its own frontier slice and steals block-wise from the others
-       when it runs dry. *)
-    let module T = Fingerprint.Table in
-    let shards =
-      Array.init shard_count (fun _ ->
-          (Mutex.create (), T.create (if throughput then 1 else 1024)))
-    in
-    (* Throughput mode swaps each shard's state table for a hash-compacted
-       fingerprint set, behind the same mutex stripe. *)
-    let compacted_shards =
-      if throughput then
-        Some
-          (Array.init shard_count (fun _ ->
-               Fingerprint.Set.create ~capacity:1024 ()))
-      else None
-    in
-    (* Per-shard predecessor tables, guarded by the same shard mutex as the
-       seen-set entry they describe; merged into one table at the end. *)
-    let parent_shards =
-      if trace then
-        Some (Array.init shard_count (fun _ -> T.create 256))
-      else None
-    in
-    let stop = Atomic.make false in
-    let truncated = Atomic.make false in
-    let states = Atomic.make 0 in
-    let depth_seen = Atomic.make 0 in
-    let transitions = Array.make jobs 0 in
-    let steals = Atomic.make 0 in
-    let contention = Atomic.make 0 in
-    let expanded = Atomic.make 0 in
-    let por_skipped = Atomic.make 0 in
-    let orbit_collapsed = Atomic.make 0 in
-    let result_mu = Mutex.create () in
-    let violation = ref None in
-    let violation_step = ref None in
-    let step_failure = ref None in
-    let key_clash = ref None in
-    let record cell v =
-      Mutex.lock result_mu;
-      if Option.is_none !cell then cell := Some v;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    (* The violation and its incoming transition must be published as one
-       unit: a racing worker's violation must not pair with ours. *)
-    let record_violation v vstep =
-      Mutex.lock result_mu;
-      if Option.is_none !violation then begin
-        violation := Some v;
-        violation_step := vstep
-      end;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    (* Serializes the [observe] callback and trace emission: neither the
-       analyzer's observation accumulator nor the sink implementations are
-       required to be thread-safe. *)
-    let aux_mu = Mutex.create () in
-    let rec bump_depth d =
-      let cur = Atomic.get depth_seen in
-      if d > cur && not (Atomic.compare_and_set depth_seen cur d) then
-        bump_depth d
-    in
-    let total_transitions () = Array.fold_left ( + ) 0 transitions in
-    let rec reserve () =
-      let cur = Atomic.get states in
-      if cur > max_states then None
-      else if Atomic.compare_and_set states cur (cur + 1) then Some (cur + 1)
-      else reserve ()
-    in
-    (* Batched admission: one expansion's successors (already canonicalized
-       and fingerprinted) are grouped by seen-set stripe so each stripe
-       mutex is locked once per distinct stripe instead of once per
-       successor — with larger claim blocks this took the stripe mutexes
-       off the top of the profile.  Under the lock each state is deduped,
-       reserved (the slot numbered [max_states + 1] is the crossing state:
-       counted and invariant-checked, never expanded — exactly the
-       sequential truncation semantics) and inserted; invariant checks and
-       the key-clash audit run after the stripe unlocks.  Fresh states
-       that belong in the next level are pushed onto [buf].  The explored
-       graph and all counts on runs that do not stop early are identical
-       to per-successor admission — only lock traffic changes. *)
-    let admit_batch ~wid sdepth items buf =
-      let groups = ref [] in
-      List.iter
-        (fun ((fp, _, _) as it) ->
-          let sh = Int64.to_int fp.Fingerprint.hi land (shard_count - 1) in
-          match List.assq_opt sh !groups with
-          | Some r -> r := it :: !r
-          | None -> groups := (sh, ref [ it ]) :: !groups)
-        items;
-      List.iter
-        (fun (sh, ritems) ->
-          if not (Atomic.get stop) then begin
-            let mu, tbl = shards.(sh) in
-            pf_enter ~slot:wid ph_dedup;
-            if not (Mutex.try_lock mu) then begin
-              Atomic.incr contention;
-              Mutex.lock mu
-            end;
-            let outcomes =
-              List.rev_map
-                (fun (fp, state, via) ->
-                  let o =
-                    match compacted_shards with
-                    | Some cs ->
-                        if Fingerprint.Set.add cs.(sh) fp then
-                          `Fresh (reserve ())
-                        else `Dup None
-                    | None -> (
-                        match T.find_opt tbl fp with
-                        | Some rep -> `Dup (Some rep)
-                        | None -> (
-                            match reserve () with
-                            | None -> `Fresh None
-                            | Some n ->
-                                T.add tbl fp (if retain then state else init);
-                                (match (parent_shards, via) with
-                                | Some ps, Some (pfp, idx, _, _) ->
-                                    T.replace ps.(sh) fp (pfp, idx)
-                                | _ -> ());
-                                `Fresh (Some n)))
-                  in
-                  (fp, state, via, o))
-                !ritems
-            in
-            Mutex.unlock mu;
-            pf_leave ~slot:wid ph_dedup;
-            List.iter
-              (fun (fp, state, via, o) ->
-                match o with
-                | `Dup rep_opt -> (
-                    match (check_key, rep_opt) with
-                    | Some equal, Some rep when not (equal rep state) ->
-                        record key_clash (rep, state)
-                    | _ -> ())
-                | `Fresh None -> ()
-                | `Fresh (Some n) -> (
-                    bump_depth sdepth;
-                    match check_state n state with
-                    | Some v ->
-                        record_violation v
-                          (Option.map
-                             (fun (_, _, pre, action) ->
-                               { Ioa.Exec.pre; action; post = state })
-                             via)
-                    | None ->
-                        if n > max_states then begin
-                          Atomic.set truncated true;
-                          Atomic.set stop true
-                        end
-                        else buf := (state, fp) :: !buf))
-              outcomes
-          end)
-        !groups
-    in
-    let expand ~wid ~depth ~expandable ~frontier state fp buf =
-      let n = Atomic.fetch_and_add expanded 1 + 1 in
-      (match sink with
-      | Some s when n mod progress_every = 0 ->
-          Mutex.lock aux_mu;
-          progress_event s
-            {
-              states = Atomic.get states;
-              transitions = total_transitions ();
-              depth = Atomic.get depth_seen;
-              truncated = Atomic.get truncated;
-            }
-            ~frontier:(frontier ());
-          (match prof with
-          | Some p ->
-              Obs.Prof.heartbeat p s ~component ~states:(Atomic.get states)
-          | None -> ());
-          Mutex.unlock aux_mu
-      | Some _ | None -> ());
-      if expandable then begin
-        pf_enter ~slot:wid ph_expand;
-        let lat0 = latency_t0 () in
-        let rng = state_rng_of fp in
-        let candidates = A.candidates rng state in
-        let actions = List.filter (A.enabled state) candidates in
-        (match observe with
-        | None -> ()
-        | Some f ->
-            Mutex.lock aux_mu;
-            f
-              {
-                obs_state = state;
-                obs_depth = depth;
-                obs_candidates = candidates;
-                obs_enabled = actions;
-              };
-            Mutex.unlock aux_mu);
-        let fired =
-          match ample with
-          | None -> actions
-          | Some f -> (
-              match f state actions with
-              | None -> actions
-              | Some sub ->
-                  Atomic.fetch_and_add por_skipped
-                    (List.length actions - List.length sub)
-                  |> ignore;
-                  sub)
-        in
-        (* Step and fingerprint every fired action first, then admit the
-           successors as one per-stripe batch (see [admit_batch]). *)
-        let succs = ref [] in
-        List.iteri
-          (fun idx action ->
-            if not (Atomic.get stop) then begin
-              let post = A.step state action in
-              transitions.(wid) <- transitions.(wid) + 1;
-              (match check_step with
-              | None -> ()
-              | Some f -> (
-                  let step = { Ioa.Exec.pre = state; action; post } in
-                  match f step with
-                  | Ok () -> ()
-                  | Error msg -> record step_failure (step, msg)));
-              if not (Atomic.get stop) then begin
-                let post =
-                  match canon with
-                  | None -> post
-                  | Some f ->
-                      let rep = f post in
-                      if rep != post then Atomic.incr orbit_collapsed;
-                      rep
-                in
-                let pfp = fingerprint ~slot:wid post in
-                succs := (pfp, post, Some (fp, idx, state, action)) :: !succs
-              end
-            end)
-          fired;
-        if !succs <> [] then admit_batch ~wid (depth + 1) (List.rev !succs) buf;
-        obs_latency lat0;
-        pf_leave ~slot:wid ph_expand
-      end
-    in
-    let run_level depth slices =
-      let nslices = Array.length slices in
-      let cursors = Array.init nslices (fun _ -> Atomic.make 0) in
-      let frontier () =
-        let left = ref 0 in
-        Array.iteri
-          (fun j a ->
-            left := !left + max 0 (Array.length a - Atomic.get cursors.(j)))
-          slices;
-        !left
-      in
-      let total =
-        Array.fold_left (fun acc a -> acc + Array.length a) 0 slices
-      in
-      (match metrics with
-      | Some m -> Obs.Metrics.observe m "explorer.frontier" (float_of_int total)
-      | None -> ());
-      (* Claim granularity scales with the level: tiny levels keep the
-         [steal_block] floor (work arrives fast after a spawn), large
-         levels hand out blocks big enough that cursor fetch-and-adds and
-         steal probes stay off the profile, capped so the end-of-level
-         imbalance stays bounded to one block per worker. *)
-      let claim_block = min 512 (max steal_block (total / (jobs * 4))) in
-      let level_t0 =
-        match prof with Some _ -> Obs.Prof.now_ns () | None -> 0L
-      in
-      let drive_end = Array.make jobs 0L in
-      let nexts = Array.make jobs [] in
-      let expandable =
-        match max_depth with Some d -> depth < d | None -> true
-      in
-      let worker wid () =
-        (* The spawn gap — worker start minus level start — is time this
-           slot spent waiting on domain startup, charged to barrier-wait.
-           Worker 0 runs on the spawning domain, whose allocation is
-           already covered by the main-domain delta sampled at
-           [Prof.stop]; sampling it here would double-count. *)
-        (match prof with
-        | Some p ->
-            Obs.Prof.add_ns p ~slot:wid ph_barrier
-              (Int64.sub (Obs.Prof.now_ns ()) level_t0)
-        | None -> ());
-        let alloc0 =
-          match prof with
-          | Some _ when wid > 0 -> Gc.allocated_bytes ()
-          | _ -> 0.
-        in
-        let buf = ref [] in
-        let own = wid mod nslices in
-        let claim j =
-          let a = slices.(j) in
-          let n = Array.length a in
-          let base = Atomic.fetch_and_add cursors.(j) claim_block in
-          if base >= n then false
-          else begin
-            let stop_at = min n (base + claim_block) in
-            if j <> own then begin
-              Atomic.incr steals;
-              match metrics with
-              | Some m ->
-                  Obs.Metrics.observe m "explorer.steal_batch"
-                    (float_of_int (stop_at - base))
-              | None -> ()
-            end;
-            for i = base to stop_at - 1 do
-              if not (Atomic.get stop) then begin
-                let state, fp = a.(i) in
-                expand ~wid ~depth ~expandable ~frontier state fp buf
-              end
-            done;
-            true
-          end
-        in
-        let rec drive () =
-          if not (Atomic.get stop) then
-            if claim own then drive ()
-            else begin
-              (* Scanning the other slices for work is steal overhead;
-                 expanding a claimed batch re-enters the expand phase,
-                 which pauses this one — attribution stays disjoint. *)
-              pf_enter ~slot:wid ph_steal;
-              let rec steal k =
-                if k >= nslices then false
-                else if claim ((own + k) mod nslices) then true
-                else steal (k + 1)
-              in
-              let got = steal 1 in
-              pf_leave ~slot:wid ph_steal;
-              if got then drive ()
-            end
-        in
-        drive ();
-        (match prof with
-        | Some p ->
-            drive_end.(wid) <- Obs.Prof.now_ns ();
-            if wid > 0 then
-              Obs.Prof.add_alloc p ~slot:wid (Gc.allocated_bytes () -. alloc0)
-        | None -> ());
-        nexts.(wid) <- !buf
-      in
-      let domains =
-        Array.init (jobs - 1) (fun i ->
-            Domain.spawn (fun () -> worker (i + 1) ()))
-      in
-      worker 0 ();
-      Array.iter Domain.join domains;
-      (* Idle tail: a worker that drained its slices early sits at the
-         level barrier until the slowest one finishes. *)
-      (match prof with
-      | Some p ->
-          let level_end = Obs.Prof.now_ns () in
-          for wid = 0 to jobs - 1 do
-            Obs.Prof.add_ns p ~slot:wid ph_barrier
-              (Int64.sub level_end drive_end.(wid))
-          done
-      | None -> ());
-      Array.map Array.of_list nexts
-    in
-    let rec levels depth slices =
-      if
-        (not (Atomic.get stop))
-        && Array.exists (fun a -> Array.length a > 0) slices
-      then levels (depth + 1) (run_level depth slices)
-    in
-    let buf0 = ref [] in
-    admit_batch ~wid:0 0 [ (init_fp, init, None) ] buf0;
-    (match !buf0 with
-    | [ entry ] -> levels 0 [| [| entry |] |]
-    | _ -> ());
-    let stats =
-      {
-        states = Atomic.get states;
-        transitions = total_transitions ();
-        depth = Atomic.get depth_seen;
-        truncated = Atomic.get truncated;
-      }
-    in
     let merged_parents =
       Option.map
         (fun ps ->
-          let all = T.create 4096 in
-          Array.iter (fun t -> T.iter (fun k v -> T.replace all k v) t) ps;
+          let all = Fingerprint.Table.create 4096 in
+          Array.iter (Fingerprint.Table.iter (Fingerprint.Table.replace all)) ps;
           all)
-        parent_shards
+        parents
     in
     finalize ~stats ~violation:!violation ~violation_step:!violation_step
       ~step_failure:!step_failure ~key_clash:!key_clash ~trace:merged_parents
-      ~steals:(Atomic.get steals) ~contention:(Atomic.get contention)
       ~por_skipped:(Atomic.get por_skipped)
       ~orbit_collapsed:(Atomic.get orbit_collapsed)
   end

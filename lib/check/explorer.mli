@@ -8,35 +8,34 @@
     reachable state, and optionally checking a per-step property (used for
     exhaustive refinement checking).
 
-    With [~jobs:n] (n > 1) the search runs on OCaml 5 domains, on one of
-    two engines:
+    Two engines run the search; [run] picks one from its arguments:
 
     {ul
-    {- the {b level-synchronized} engine (the default, and always used
-       when [max_depth] is set): per-domain frontier slices over a
-       mutex-striped shared seen-set, block-wise work-stealing when a
-       local slice drains, and a barrier between BFS levels.  Fully
-       deterministic: states are admitted at their true BFS depth and the
-       explored graph is identical at every job count.}
-    {- the {b barrier-free sharded} engine ([~mode:`Throughput] without
-       [max_depth]): the 128-bit fingerprint space is range-partitioned
-       across domains ({!Fingerprint.shard}); each domain exclusively owns
-       its seen-set shard and private frontier — no locks on the hot path —
+    {- the {b sequential} engine, when [jobs = 1] or [max_depth] is set:
+       a single-domain FIFO BFS.  States are admitted at their true BFS
+       depth, so a depth cut is exact, and every count is reproducible.}
+    {- the {b barrier-free sharded} engine, on every other run: the
+       128-bit fingerprint space is range-partitioned across [jobs]
+       domains ({!Fingerprint.shard}); each domain exclusively owns its
+       seen-set shard and private frontier — no locks on the hot path —
        and successors owned elsewhere hand off through bounded lock-free
        MPSC rings ({!Ring}) in batches.  Termination is detected by
-       distributed quiescence (an atomic in-flight credit counter).  On a
-       clean exhaustive run the visited set, counts and verdict are
-       identical to the level-synchronized engine; the reported [depth] is
-       a {i discovery} depth (≥ the true BFS eccentricity, and
+       distributed quiescence (an atomic in-flight credit counter).  Both
+       modes run here: under [`Deterministic] each shard keeps the
+       sequential engine's table of representatives, and the [check_key]
+       audit and the [trace] parent record run on the shard's owner.  On
+       a clean exhaustive run the visited set, counts and verdict are
+       identical to the sequential engine's; the reported [depth] is a
+       {i discovery} depth (≥ the true BFS eccentricity, and
        scheduling-dependent), and truncated runs keep exact state counts
        but a scheduling-dependent prefix.}}
 
-    Both parallel engines force the {b per-state RNG} discipline — the RNG
-    handed to [candidates] is seeded from the state's fingerprint, so the
-    candidate set at a state is a pure function of (run seed, state) and
-    the explored state graph is independent of visit order and
-    interleaving.  [jobs:1] without [state_rng] reproduces the classic
-    sequential stream-RNG search exactly.
+    [jobs > 1] forces the {b per-state RNG} discipline, whichever engine
+    runs — the RNG handed to [candidates] is seeded from the state's
+    fingerprint, so the candidate set at a state is a pure function of
+    (run seed, state) and the explored state graph is independent of
+    visit order and interleaving.  [jobs:1] without [state_rng]
+    reproduces the classic sequential stream-RNG search exactly.
 
     Unlike the random engine, candidates must over-approximate the enabled
     action set relative to the chosen finite environment.  Under [jobs > 1]
@@ -110,17 +109,20 @@ type ('s, 'a) outcome = {
     @param max_states stop after visiting this many distinct states
            (default 200_000).  The state that crosses the bound is still
            invariant-checked before the search stops.  The final count is
-           deterministic ([max_states + 1]) at every job count, but under
-           [jobs > 1] {i which} states beyond the bound were explored is
-           scheduling-dependent — bound parallel runs that must be
-           reproducible state-for-state by [max_depth] instead.
+           deterministic ([max_states + 1]) at every job count, but on
+           the sharded engine {i which} states the cut admits — and so the
+           transition count and the findings — is scheduling-dependent.
+           Bound runs that must be reproducible state-for-state by
+           [max_depth] instead.
     @param max_depth stop expanding beyond this depth (default unbounded).
-           Deterministic at every job count: a depth bound forces the
-           level-synchronized engine (even under [`Throughput]), which
-           admits states at their true BFS depth — the sharded engine only
-           knows discovery depths and cannot cut a BFS level exactly.
+           A depth bound runs the sequential engine whatever [jobs] says,
+           since only it admits states at their true BFS depth — the
+           sharded engine knows discovery depths only and cannot cut a BFS
+           level exactly.  The cut is therefore exact and the result the
+           same at every job count.
     @param jobs worker domains (default 1 = the sequential engine).
-           [jobs > 1] implies [state_rng].
+           [jobs > 1] implies [state_rng], and without [max_depth] selects
+           the sharded engine.
     @param state_rng seed the RNG handed to [candidates] from each state's
            fingerprint instead of one shared stream (default: only when
            [jobs > 1]).  Makes candidate sets visit-order-independent, so
@@ -128,13 +130,15 @@ type ('s, 'a) outcome = {
            at every job count.
     @param trace retain per-state predecessors (fingerprint + enabled-action
            index) for counterexample path reconstruction (default false).
-           Costs ~24 bytes per state.  Under [jobs > 1] each seen-set shard
-           keeps its own slice, merged into one table on completion.
+           Costs ~24 bytes per state.  On the sharded engine each worker
+           keeps its own shard's slice, merged into one table on
+           completion.
     @param check_step optional per-transition property; return [Error msg]
            to report.  Exploration stops at the first failure.
     @param check_key optional state equality used to audit the dedup: a
            representative state is retained per fingerprint and compared on
-           every collision; the first conflated pair is reported as
+           every collision (on the sharded engine, by the worker owning
+           the fingerprint); the first conflated pair is reported as
            [key_clash] and stops the search.  Costs memory proportional to
            the explored set — intended for the small instances of
            [lib/analysis].
@@ -158,20 +162,15 @@ type ('s, 'a) outcome = {
            entries whose generators draw from it explore a different —
            equally valid — graph than the string path; omitting the
            parameter reproduces the string path byte-identically.
-    @param mode [`Deterministic] (default) keeps the classic seen-set.
-           [`Throughput] switches to hash compaction: each seen-set shard
-           stores bare 128-bit fingerprints in flat lane arrays (16
-           bytes/state, no retained representatives), trading the
-           [check_key] audit and [trace] reconstruction — both rejected
-           with [Invalid_argument] — for footprint.  Under [jobs > 1]
-           without [max_depth] it additionally selects the barrier-free
-           sharded engine (see the module header).  Visited-state counts
-           and verdicts match deterministic mode on every clean exhaustive
-           run; on truncated or violating runs the state count stays exact
-           ([max_states + 1] when truncated) but {i which} states the
-           sharded prefix covers — and hence transition counts, and
-           whether a violation is reached before the bound — is
-           scheduling-dependent.
+    @param mode [`Deterministic] (default) keeps a seen-table of
+           representatives, on either engine.  [`Throughput] switches to
+           hash compaction: each seen-set stores bare 128-bit fingerprints
+           in flat lane arrays (16 bytes/state, no retained
+           representatives), trading the [check_key] audit and [trace]
+           reconstruction — both rejected with [Invalid_argument] — for
+           footprint.  The mode does not choose the engine ([jobs] and
+           [max_depth] do).  Visited-state counts and verdicts match
+           deterministic mode on every clean exhaustive run.
     @param canon orbit canonicalization: applied to the initial state and
            to every successor before fingerprinting, so exploration runs
            over orbit representatives (symmetry reduction).  Must be
@@ -184,7 +183,7 @@ type ('s, 'a) outcome = {
            successors.
     @param observe called once per expanded state with the candidate set
            and its enabled subset, before the transitions fire.  Serialized
-           under [jobs > 1] (calls arrive in scheduling order).
+           on the sharded engine (calls arrive in scheduling order).
     @param sink trace sink for progress: a ["progress"] point (states
            visited, transitions, frontier size, depth) every
            [progress_every] expanded states and a final ["done"] point
@@ -192,26 +191,22 @@ type ('s, 'a) outcome = {
            while the search crunches.  Component ["check.explorer"].
     @param metrics on completion, bumps the [explorer.states] /
            [explorer.transitions] / [explorer.truncated] counters and the
-           [explorer.depth] gauge; additionally the [explorer.workers]
-           gauge (the job count) and the [explorer.steals] /
-           [explorer.shard_contention] counters (frontier blocks claimed
-           from another worker's slice; seen-set shard locks that were
-           busy on first try).  The sharded engine reports
+           [explorer.depth] and [explorer.workers] gauges (the domains
+           that ran: 1 on the sequential engine).  The sequential engine
+           samples the [explorer.frontier] histogram (queue length) at
+           each progress stride.  The sharded engine reports
            [explorer.handoff_batches] (ring pushes) and
            [explorer.ring_full_stalls] (pushes that found the destination
-           ring full, retried after a self-drain) instead, plus the
+           ring full, retried after a self-drain), plus the
            [explorer.ring_occupancy] histogram (destination occupancy
-           sampled at each push).  With [?prof] also given, the
-           level-synchronized engine records the [explorer.frontier]
-           (per-level frontier size), [explorer.expand_latency_us]
-           (per-state expansion latency) and [explorer.steal_batch]
-           (stolen block size) histograms.
+           sampled at each push).  With [?prof] also given, both engines
+           record the [explorer.expand_latency_us] (per-state expansion
+           latency) histogram.
     @param prof scoped-phase profiler (see {!profile}): charges wall time
-           to the [expand] / [encode] / [fingerprint] / [dedup] phases
-           plus [barrier-wait] / [steal] (level-synchronized engine) or
-           [route] / [flush] / [idle] (sharded engine), one slot per
-           worker, and accrues per-domain
-           allocation.  Must have at least [jobs] slots
+           to the [expand] / [encode] / [fingerprint] / [dedup] phases,
+           plus [route] / [flush] / [idle] on the sharded engine, one slot
+           per worker, and accrues per-domain allocation.  Must have at
+           least [jobs] slots
            ([Invalid_argument] otherwise).  When [?sink] is also given,
            each progress point is followed by an [Obs.Prof.heartbeat]
            (states/sec, bytes/state, per-phase split so far).  Omitting
@@ -244,11 +239,10 @@ val run :
   ('s, 'a) outcome
 
 (** A profiler pre-interned with the explorer's phase names ([expand],
-    [encode], [fingerprint], [dedup], [barrier-wait], [steal], [route],
-    [flush], [idle]) and one slot per worker — the [?prof] argument for
-    [run ~jobs].  [encode] accrues only on the [?codec] path (flat
-    serialization), so an E17-style string-path profile attributes the
-    same work to [fingerprint]; [barrier-wait]/[steal] accrue only on the
-    level-synchronized engine, [route]/[flush]/[idle] only on the sharded
-    one. *)
+    [encode], [fingerprint], [dedup], [route], [flush], [idle]) and one
+    slot per worker — the [?prof] argument for [run ~jobs].  [encode]
+    accrues only on the [?codec] path (flat serialization), so an
+    E17-style string-path profile attributes the same work to
+    [fingerprint]; [route]/[flush]/[idle] accrue only on the sharded
+    engine. *)
 val profile : jobs:int -> Obs.Prof.t

@@ -162,9 +162,8 @@ let of_string s =
 
 (* Range partition of the high lane's top 16 bits.  The owner of a
    fingerprint must be decorrelated from every other consumer of its
-   bits: the deterministic engine's mutex stripes index the *low* bits
-   of [hi], and [Set]'s linear probe folds [lo] — both untouched here,
-   so per-shard sets stay uniformly loaded. *)
+   bits: [Table]'s hash and [Set]'s linear probe both fold [lo],
+   untouched here, so per-shard structures stay uniformly loaded. *)
 let shard t ~shards =
   if shards <= 1 then 0
   else

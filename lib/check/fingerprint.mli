@@ -59,10 +59,9 @@ val finish : ctx -> t
 (** [shard fp ~shards] maps the fingerprint to its owning shard in
     [0 .. shards - 1] by range-partitioning the high lane's top 16 bits
     (uniform after the finalizer's avalanche).  Deliberately reads bits
-    no other consumer folds: hash tables and {!Set} probe on the low
-    lane, the deterministic engine's mutex stripes take the high lane's
-    {i low} bits — so per-shard structures stay uniformly loaded.  The
-    sharded throughput explorer uses this as the domain-ownership map.
+    no other consumer folds: {!Table} and {!Set} probe on the low lane —
+    so per-shard structures stay uniformly loaded.  The sharded explorer
+    uses this as the domain-ownership map.
     [shards <= 1] always returns 0; [shards] need not divide 65536. *)
 val shard : t -> shards:int -> int
 
@@ -79,8 +78,8 @@ module Table : Hashtbl.S with type key = t
 (** Hash-compacted fingerprint sets for the explorer's throughput mode:
     membership only, 16 flat bytes per entry in unboxed lane arrays —
     no retained states, no per-entry allocation.  Not thread-safe; the
-    parallel explorer stripes one set per seen-shard behind the shard
-    mutex.  The dedup soundness caveat above applies with full force
+    sharded explorer keeps one set per worker, touched only by its
+    owner.  The dedup soundness caveat above applies with full force
     here, since no [check_key] audit is possible without retained
     representatives. *)
 module Set : sig

@@ -117,11 +117,6 @@ let leave t ~slot phase =
   if s.depth > 0 then s.depth <- s.depth - 1;
   s.last <- now
 
-let add_ns t ~slot phase ns =
-  let a = t.slots.(slot).accs.(phase) in
-  a.ns <- a.ns + Int64.to_int ns;
-  a.calls <- a.calls + 1
-
 let add_alloc t ~slot bytes =
   let s = t.slots.(slot) in
   s.alloc <- s.alloc +. bytes

@@ -41,10 +41,6 @@ val enter : t -> slot:int -> int -> unit
 
 val leave : t -> slot:int -> int -> unit
 
-(** Charge a duration measured externally (e.g. barrier gaps computed
-    from domain join timestamps); counts one call. *)
-val add_ns : t -> slot:int -> int -> int64 -> unit
-
 (** Accrue allocation bytes a worker sampled from its domain-local
     [Gc.allocated_bytes] delta. *)
 val add_alloc : t -> slot:int -> float -> unit

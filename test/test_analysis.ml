@@ -223,13 +223,20 @@ let test_invariant_violation () =
     (List.mem "invariant-violation" (kinds r))
 
 let test_key_clash () =
-  (* a key that conflates states of equal parity is not injective *)
-  let r =
-    An.analyze ~name:"clash"
-      (subject ~key:(fun s -> string_of_int (s mod 2)) (module Counter))
-  in
-  Alcotest.(check bool) "clash reported" true
-    (List.mem "key-clash" (kinds r))
+  (* a key that conflates states of equal parity is not injective; the
+     audit runs on the sequential engine at jobs:1 and on the shard's
+     owning worker at jobs:4 *)
+  List.iter
+    (fun jobs ->
+      let r =
+        An.analyze ~name:"clash" ~jobs
+          (subject ~key:(fun s -> string_of_int (s mod 2)) (module Counter))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "clash reported at jobs:%d" jobs)
+        true
+        (List.mem "key-clash" (kinds r)))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Truncation semantics                                                *)

@@ -348,16 +348,16 @@ let seeded_defect_differential () =
 
 (* `Throughput drops retained states for a fingerprint-only seen-set; on
    the same codec-fed fingerprints both modes must expand exactly the
-   same graph.  Verified per entry at jobs:1 and jobs:4.  At jobs:4 the
-   throughput run additionally switches engines (barrier-free sharded vs
-   level-synchronized), which narrows what is comparable:
+   same graph.  Verified per entry at jobs:1 and jobs:4.  At jobs:4 both
+   modes run on the barrier-free sharded engine, which narrows what is
+   comparable:
 
-   - counts: asserted only on runs where both engines exhausted cleanly
+   - counts: asserted only on runs where both modes exhausted cleanly
      (no violation / step failure) — on a violating or truncated run the
      set of states visited before stopping is scheduling-dependent;
-   - depth: exact at jobs:1; at jobs:4 the sharded engine reports a
-     discovery depth, which on an exhaustive run is >= the true BFS
-     eccentricity the deterministic engine reports;
+   - depth: exact at jobs:1; at jobs:4 both runs report discovery
+     depths, each >= the true BFS eccentricity the jobs:1 deterministic
+     run reports;
    - verdict: exactly equal at jobs:1; at jobs:4 the verdict *class* is
      compared on non-truncated runs (which of several violated
      invariants stops the run first is scheduling-dependent), and a
@@ -372,6 +372,7 @@ let mode_parity () =
   List.iter
     (fun (Reg.Entry e) ->
       incr total;
+      let bfs_depth = ref 0 in
       let raw ~jobs ~mode =
         An.explore_raw ~max_states:6_000 ~jobs ~mode e.subject
       in
@@ -379,6 +380,7 @@ let mode_parity () =
         (fun jobs ->
           let det = raw ~jobs ~mode:`Deterministic in
           let thr = raw ~jobs ~mode:`Throughput in
+          if jobs = 1 then bfs_depth := det.An.raw_depth;
           let clean r =
             r.An.raw_violation = None && not r.An.raw_step_failure
           in
@@ -416,10 +418,12 @@ let mode_parity () =
             else
               Alcotest.(check bool)
                 (Printf.sprintf
-                   "%s jobs:%d — discovery depth bounds BFS depth (%d <= %d)"
-                   e.name jobs det.An.raw_depth thr.An.raw_depth)
+                   "%s jobs:%d — discovery depths bound BFS depth (%d <= %d, \
+                    %d)"
+                   e.name jobs !bfs_depth det.An.raw_depth thr.An.raw_depth)
                 true
-                (det.An.raw_depth <= thr.An.raw_depth)
+                (!bfs_depth <= det.An.raw_depth
+                && !bfs_depth <= thr.An.raw_depth)
           end)
         [ 1; 4 ])
     (all_entries ());

@@ -282,13 +282,19 @@ let test_explorer_finds_violation () =
   | Some v -> Alcotest.(check int) "state 4 found" 4 v.Ioa.Invariant.state
   | None -> Alcotest.fail "must find the violation"
 
+(* A depth cut runs the sequential engine at every job count, so the
+   stats — depth included — cannot depend on [jobs]. *)
 let test_explorer_max_depth () =
-  let outcome =
-    Check.Explorer.run counter_gen ~key:string_of_int ~invariants:[] ~max_depth:2
-      ~init:0 ()
+  let stats jobs =
+    (Check.Explorer.run counter_gen ~key:string_of_int ~invariants:[]
+       ~max_depth:2 ~jobs ~init:0 ())
+      .Check.Explorer.stats
   in
+  let s1 = stats 1 and s4 = stats 4 in
   Alcotest.(check int) "only 0,1,2 reachable at depth 2" 3
-    outcome.Check.Explorer.stats.Check.Explorer.states
+    s1.Check.Explorer.states;
+  Alcotest.(check int) "depth 2" 2 s1.Check.Explorer.depth;
+  Alcotest.(check bool) "jobs:4 stats identical to jobs:1" true (s1 = s4)
 
 let test_explorer_violation_step () =
   (* the violating transition itself must be recorded: 3 --incr--> 4 *)

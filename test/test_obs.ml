@@ -494,8 +494,6 @@ let test_prof_phases_disjoint () =
   spin ();
   Obs.Prof.leave p ~slot:0 inner;
   Obs.Prof.leave p ~slot:0 outer;
-  (* an externally measured gap, within the wall the clock saw *)
-  Obs.Prof.add_ns p ~slot:1 outer 1_000_000L;
   Obs.Prof.add_alloc p ~slot:1 1024.;
   Obs.Prof.stop p;
   let r = Obs.Prof.report p in
@@ -505,9 +503,9 @@ let test_prof_phases_disjoint () =
     | None -> Alcotest.failf "phase %s missing" name
   in
   let o = total "outer" and i = total "inner" in
-  Alcotest.(check bool) "outer accumulated" true (o.Obs.Prof.ns >= 3_000_000L);
+  Alcotest.(check bool) "outer accumulated" true (o.Obs.Prof.ns >= 2_000_000L);
   Alcotest.(check bool) "inner accumulated" true (i.Obs.Prof.ns >= 2_000_000L);
-  Alcotest.(check int) "outer calls: scoped + add_ns" 2 o.Obs.Prof.calls;
+  Alcotest.(check int) "outer calls" 1 o.Obs.Prof.calls;
   (* disjoint attribution: phase totals can never exceed slots × wall *)
   let budget = Int64.mul (Int64.of_int (Obs.Prof.slots p)) r.Obs.Prof.wall_ns in
   Alcotest.(check bool) "sum within slots × wall" true
@@ -549,24 +547,34 @@ let test_prof_enter_leave_alloc_free () =
   Alcotest.(check int) "every entry counted" 1_001 (calls "inner").calls
 
 let test_prof_explorer_parity () =
-  (* profiled exploration returns byte-identical stats to unprofiled *)
+  (* profiled exploration on two domains (the sharded engine) visits the
+     unprofiled graph; the VS spec instance exhausts (~2k states), so
+     states, transitions and truncation are scheduling-independent — the
+     discovery depth is not, and is not compared *)
   let cfg =
-    { (Vstack.default_config ~payloads:[ "a" ] ~universe:2) with
-      Vstack.max_views = 1;
-      max_sends = 1;
+    { (Vsg.default_config ~payloads:[ "a" ] ~universe:2) with
+      Vsg.max_views = 2;
+      max_sends = 2;
+      view_proposals = `All_subsets;
     }
   in
-  let gen = Vstack.generative_pure cfg in
-  let init = Vstack.initial ~universe:2 ~p0:(Proc.Set.universe 2) () in
+  let gen = Vsg.generative_pure cfg in
+  let init = Vsg.Spec.initial (Proc.Set.universe 2) in
   let explore ?prof () =
-    (Check.Explorer.run gen ~key:Vstack.state_key ~invariants:[] ~max_depth:8
-       ~jobs:2 ~state_rng:true ?prof ~init ())
-      .Check.Explorer.stats
+    let s =
+      (Check.Explorer.run gen ~key:Vsg.Spec.state_key ~invariants:[] ~jobs:2
+         ~state_rng:true ?prof ~init ())
+        .Check.Explorer.stats
+    in
+    (s.Check.Explorer.states, s.Check.Explorer.transitions,
+     s.Check.Explorer.truncated)
   in
   let plain = explore () in
   let prof = Check.Explorer.profile ~jobs:2 in
   let profiled = explore ~prof () in
   Obs.Prof.stop prof;
+  let _, _, truncated = plain in
+  Alcotest.(check bool) "instance exhausts" false truncated;
   Alcotest.(check bool) "profiling does not perturb the search" true
     (plain = profiled);
   let r = Obs.Prof.report prof in

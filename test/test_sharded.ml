@@ -1,5 +1,5 @@
-(* Tests for the barrier-free sharded throughput engine and its handoff
-   ring (Check.Ring).
+(* Tests for the barrier-free sharded engine and its handoff ring
+   (Check.Ring).
 
    - Ring: capacity rounding, FIFO order, full-ring refusal, and an MPSC
      stress run across real domains (every element delivered exactly
@@ -9,7 +9,7 @@
      imbalance) and with repeated runs of a tiny graph whose frontier
      empties constantly (the premature-termination window).
    - Parity: on clean exhaustive runs the sharded engine visits exactly
-     the deterministic engine's state set at every job count, discovery
+     the sequential engine's state set at every job count, discovery
      depth bounds BFS depth, [max_states] truncation keeps the exact
      deterministic count, and the three seeded registry defects are
      still caught. *)
@@ -193,8 +193,8 @@ let test_truncation_exact_count () =
 (* Engine parity                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Registry-wide: deterministic level-synchronized vs sharded throughput
-   on clean exhaustive runs — same states, same transitions, BFS depth
+(* Registry-wide: deterministic sequential vs sharded throughput on
+   clean exhaustive runs — same states, same transitions, BFS depth
    bounded by discovery depth.  (test_codec's mode_parity covers the
    verdict classes on the seeded defects; here the healthy entries pin
    the counts at both job levels.) *)
