@@ -94,7 +94,7 @@ let hunt_entry ~max_states_override ~jobs ~shrink (Analysis.Registry.Entry e) =
             actions = cex.Analysis.Analyzer.cex_shrunk;
             violation =
               Check.Shrink.failure_to_string cex.Analysis.Analyzer.cex_failure;
-            state = cex.Analysis.Analyzer.cex_state;
+            state = Some cex.Analysis.Analyzer.cex_state;
           } )
 
 let run_cex ~selected ~max_states_override ~jobs ~shrink ~cex_out =
@@ -325,8 +325,8 @@ let () =
       ~doc:
         "Static analysis of the automaton registry: generator \
          soundness/completeness, invariant vacuity, dead actions, deadlocks \
-         and state-key audits over exhaustively explored small instances.  \
-         With --shrink/--cex-out, extracts and minimizes counterexample \
-         schedules instead."
+         and codec-injectivity audits over exhaustively explored small \
+         instances.  With --shrink/--cex-out, extracts and minimizes \
+         counterexample schedules instead."
   in
   exit (Cmd.eval (Cmd.v info term))

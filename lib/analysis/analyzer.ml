@@ -36,7 +36,7 @@ type ('s, 'a) subject = {
   generator : string;
   footprint : ('s, 'a) Footprint.schema option;
   symmetry : ('s, 'a) Symmetry.spec option;
-  codec : 's Check.Codec.t option;
+  codec : 's Check.Codec.t;
   instrumented_step : (Obs.Trace.sink -> 's -> 'a -> 's) option;
 }
 
@@ -52,7 +52,20 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
      [--reduce] always runs the footprint audits too *)
   let footprint = footprint || reduce in
   let t0 = Obs.Metrics.now_ms () in
-  let action_str a = Format.asprintf "%a" sub.pp_action a in
+  (* Renders each distinct action value once: the completeness pass below
+     renders every proposal of every sampled observation, and proposals
+     repeat heavily.  Action values are plain immutable data (no closures,
+     no cycles), so structural hashing and equality are safe keys; two
+     structurally equal actions print the same. *)
+  let action_strs : (a, string) Hashtbl.t = Hashtbl.create 256 in
+  let action_str a =
+    match Hashtbl.find_opt action_strs a with
+    | Some str -> str
+    | None ->
+        let str = Format.asprintf "%a" sub.pp_action a in
+        Hashtbl.add action_strs a str;
+        str
+  in
   let state_str s = Format.asprintf "@[<h>%a@]" sub.pp_state s in
   let observations = ref [] in
   let n_obs = ref 0 in
@@ -62,9 +75,11 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   in
   (* [state_rng] at every job count: candidate sets become a pure function
      of (seed, state), so the explored graph — and with it every count and
-     finding below — is independent of [jobs]. *)
+     finding below — is independent of [jobs].  Dedup runs on the codec;
+     the key is rendered once per expanded state, only to seed its RNG,
+     so the graph is the key-seeded one (see {!Check.Explorer.run}). *)
   let outcome =
-    Check.Explorer.run sub.automaton ~key:sub.key
+    Check.Explorer.run sub.automaton ~key:sub.key ~codec:sub.codec
       ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
       ~seed ~max_states ?max_depth ~jobs ~state_rng:true
       ?check_step:sub.check_step ?check_key:sub.equal_state ~observe ?sink
@@ -473,7 +488,7 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
             | _ -> ()
           in
           let red =
-            Check.Explorer.run sub.automaton ~key:sub.key
+            Check.Explorer.run sub.automaton ~key:sub.key ~codec:sub.codec
               ~invariants:
                 (List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
               ~seed ~max_states ?max_depth ~jobs ~state_rng:true
@@ -583,7 +598,7 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Raw exploration (codec-fed / throughput-mode runs)                  *)
+(* Raw exploration (codec-seeded / throughput-mode runs)               *)
 (* ------------------------------------------------------------------ *)
 
 type raw = {
@@ -598,9 +613,8 @@ type raw = {
 }
 
 let explore_raw (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
-    ?(seed = [| 0 |]) ?(use_codec = true) ?(mode = `Deterministic) ?sink
-    ?metrics ?prof (sub : (s, a) subject) =
-  let codec = if use_codec then sub.codec else None in
+    ?(seed = [| 0 |]) ?(mode = `Deterministic) ?sink ?metrics ?prof
+    (sub : (s, a) subject) =
   (* Same dead-end notion as [find_cex]: a state with no enabled candidate
      that the subject does not declare quiescent.  Observation only — it
      cannot perturb the explored graph, and the sharded explorer
@@ -620,10 +634,10 @@ let explore_raw (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   in
   let t0 = Obs.Metrics.now_ms () in
   let outcome =
-    Check.Explorer.run sub.automaton ~key:sub.key
+    Check.Explorer.run sub.automaton ~codec:sub.codec
       ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
       ~seed ~max_states ?max_depth ~jobs ~state_rng:true
-      ?check_step:sub.check_step ?codec ~mode ?observe ?sink ?metrics ?prof
+      ?check_step:sub.check_step ~mode ?observe ?sink ?metrics ?prof
       ~init:sub.init ()
   in
   let stats = outcome.Check.Explorer.stats in
@@ -663,7 +677,7 @@ type cex = {
   cex_failure : Check.Shrink.failure;
   cex_raw : string list;
   cex_shrunk : string list;
-  cex_state : string option;
+  cex_state : string;
 }
 
 let find_cex (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
@@ -726,14 +740,9 @@ let find_cex (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   match target with
   | Error _ as e -> e
   | Ok (target, failure, suffix) -> (
-      (* The flat encoding of the failure state, when the entry ships a
-         codec — the wire form corpus entries carry alongside the
-         schedule. *)
-      let cex_state =
-        Option.map
-          (fun c -> Check.Codec.to_hex (Check.Codec.encode c target))
-          sub.codec
-      in
+      (* The flat encoding of the failure state — the wire form corpus
+         entries carry alongside the schedule. *)
+      let cex_state = Check.Codec.to_hex (Check.Codec.encode sub.codec target) in
       match
         Check.Cex.reconstruct sub.automaton ~key:sub.key ~seed ~trace
           ~init:sub.init ~target ()

@@ -19,9 +19,15 @@
       [allowed_dead]);
     - {b deadlock}: states with no proposed candidates that fail the
       entry's [quiescent] predicate;
-    - {b key audit}: with [equal_state] present, the explorer retains one
-      representative state per dedup key and reports the first conflated
-      pair (an injectivity bug in [key] invalidates every other number).
+    - {b dedup audit}: with [equal_state] present, the explorer retains one
+      representative state per codec fingerprint and reports the first
+      conflated pair as a [key-clash] (an injectivity bug in [codec]
+      invalidates every other number).
+
+    Both explorations ([analyze]'s full run and its [--reduce] run) dedup
+    on the subject's [codec] and render [key] once per expanded state,
+    only to seed that state's candidate RNG, so they explore exactly the
+    key-seeded graph a key-deduped run would (see {!Check.Explorer.run}).
 
     Coverage analyses (vacuity, dead classes) cannot conclude on an
     exploration truncated by [max_states]/[max_depth]: absence of evidence
@@ -48,9 +54,13 @@ type ('s, 'a) subject = {
   automaton :
     (module Ioa.Automaton.GENERATIVE with type state = 's and type action = 'a);
   init : 's;
-  key : 's -> string;  (** canonical state rendering for dedup *)
+  key : 's -> string;
+      (** canonical state rendering: seeds each expanded state's candidate
+          RNG in {!analyze}, and is the dedup identity of {!find_cex} and
+          its {!Check.Cex}/{!Check.Shrink} replays; must induce the same
+          equivalence classes as [codec] *)
   equal_state : ('s -> 's -> bool) option;
-      (** enables the key-injectivity audit (costs memory) *)
+      (** enables the dedup-injectivity audit (costs memory) *)
   invariants : 's Ioa.Invariant.checked list;
   pp_state : Format.formatter -> 's -> unit;
   pp_action : Format.formatter -> 'a -> unit;
@@ -89,10 +99,11 @@ type ('s, 'a) subject = {
   symmetry : ('s, 'a) Symmetry.spec option;
       (** declared permutation action; enables the equivariance audit and —
           when equivariant and deterministic — orbit canonicalization *)
-  codec : 's Check.Codec.t option;
-      (** versioned flat binary encoding of the state; enables codec-fed
-          fingerprinting ({!explore_raw}), hash-compacted throughput
-          exploration, and the counterexample wire form ([cex_state]) *)
+  codec : 's Check.Codec.t;
+      (** versioned flat binary encoding of the state: the dedup identity
+          of {!analyze} and {!explore_raw} (and with it hash-compacted
+          throughput exploration), and the counterexample wire form
+          ([cex_state]) *)
   instrumented_step : (Obs.Trace.sink -> 's -> 'a -> 's) option;
       (** a trace-emitting re-step: apply one action to a state while
           emitting the entry's runtime trace vocabulary into the sink
@@ -152,26 +163,24 @@ type raw = {
 
 (** [explore_raw sub] runs one plain exploration of the subject (per-state
     RNG forced, as everywhere in the analyzer) and returns its stats and
-    verdicts.  With [~use_codec:true] (the default) and a subject codec,
-    states are fingerprinted from their flat {!Check.Codec} encoding;
+    verdicts.  States are fingerprinted from their flat {!Check.Codec}
+    encoding alone, and the per-state RNG is seeded from that same
+    fingerprint: no key is ever rendered, so on entries with RNG-gated
+    generators the explored graph differs from {!analyze}'s key-seeded one
+    (state counts are comparable across the two only on
+    deterministic-generator entries).
     [~mode:`Throughput] switches the explorer to the hash-compacted
     seen-set ({!Check.Explorer.run}'s [?mode]); [jobs > 1] without a depth
     bound runs either mode on the barrier-free sharded engine.  On clean
     exhaustive runs the explored graph and all verdicts are identical
     across the two modes by construction (what the parity suite asserts);
     sharded truncated runs keep exact state counts but a
-    scheduling-dependent prefix, and sharded depths are discovery depths.
-    [~use_codec:false] is the string-keyed baseline; on entries with
-    RNG-gated generators its explored graph differs from the codec-fed one
-    (the per-state RNG is seeded from the fingerprint), so cross-source
-    state counts are only comparable on deterministic-generator
-    entries. *)
+    scheduling-dependent prefix, and sharded depths are discovery depths. *)
 val explore_raw :
   ?max_states:int ->
   ?max_depth:int ->
   ?jobs:int ->
   ?seed:int array ->
-  ?use_codec:bool ->
   ?mode:[ `Deterministic | `Throughput ] ->
   ?sink:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
@@ -193,9 +202,8 @@ type cex = {
   cex_failure : Check.Shrink.failure;
   cex_raw : string list;
   cex_shrunk : string list;
-  cex_state : string option;
-      (** hex of the framed flat encoding of the failure state, when the
-          subject ships a codec *)
+  cex_state : string;
+      (** hex of the framed flat encoding of the failure state *)
 }
 
 (** [find_cex sub] explores with [~trace:true] (per-state RNG forced, as

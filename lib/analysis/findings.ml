@@ -83,7 +83,8 @@ let pp_finding ppf f =
       Format.fprintf ppf "step property failed on %s: %s" action detail
   | Key_clash { state_a; state_b } ->
       Format.fprintf ppf
-        "state key not injective: distinct states share a key@ (%s@ vs %s)"
+        "dedup identity not injective: distinct states share a \
+         fingerprint@ (%s@ vs %s)"
         state_a state_b
   | Unsound_candidate { action; state } ->
       Format.fprintf ppf "candidate %s proposed but not enabled at %s" action

@@ -13,8 +13,9 @@ type finding =
   | Step_failure of { action : string; detail : string }
       (** a per-step property failed *)
   | Key_clash of { state_a : string; state_b : string }
-      (** the dedup key conflated two distinct states — the exploration
-          (and every coverage number) is unsound for this entry *)
+      (** the dedup identity (the subject's codec) conflated two distinct
+          states — the exploration (and every coverage number) is unsound
+          for this entry *)
   | Unsound_candidate of { action : string; state : string }
       (** an [exact] generator proposed a disabled action *)
   | Missed_enabled of { action : string; cls : string; state : string }

@@ -251,9 +251,8 @@ let vs_spec () =
           footprint = Some (vs_spec_schema ());
           symmetry = Some (vs_spec_symmetry ());
           codec =
-            Some
-              (Check.Codec.make ~id:"vs-spec" ~version:1
-                   (Vsg.Spec.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"vs-spec" ~version:1
+              (Vsg.Spec.codec_state Check.Codec.string);
           instrumented_step = None;
         };
     }
@@ -322,9 +321,8 @@ let dvs_spec () =
                  ~key:Dg.Spec.state_key);
           symmetry = None;
           codec =
-            Some
-              (Check.Codec.make ~id:"dvs-spec" ~version:1
-                   (Dg.Spec.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"dvs-spec" ~version:1
+              (Dg.Spec.codec_state Check.Codec.string);
           instrumented_step = None;
         };
     }
@@ -424,9 +422,8 @@ let dvs_impl () =
                  ~key:Sys.state_key);
           symmetry = None;
           codec =
-            Some
-              (Check.Codec.make ~id:"dvs-impl" ~version:1
-                   (Sys.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"dvs-impl" ~version:1
+              (Sys.codec_state Check.Codec.string);
           instrumented_step = None;
         };
     }
@@ -559,8 +556,7 @@ let to_spec () =
           footprint = Some (to_spec_schema ());
           symmetry = Some (to_spec_symmetry ());
           codec =
-            Some
-              (Check.Codec.make ~id:"to-spec" ~version:1 To.codec_state);
+            Check.Codec.make ~id:"to-spec" ~version:1 To.codec_state;
           instrumented_step = None;
         };
     }
@@ -657,8 +653,7 @@ let to_impl () =
                  ~key:Timpl.state_key);
           symmetry = None;
           codec =
-            Some
-              (Check.Codec.make ~id:"to-impl" ~version:1 Timpl.codec_state);
+            Check.Codec.make ~id:"to-impl" ~version:1 Timpl.codec_state;
           instrumented_step = None;
         };
     }
@@ -1238,9 +1233,8 @@ let vs_stack () =
             Some (stack_schema ~cfg ~faults:Vs_impl.Fault.none ());
           symmetry = Some (stack_symmetry ());
           codec =
-            Some
-              (Check.Codec.make ~id:"vs-stack" ~version:1
-                   (Stk.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"vs-stack" ~version:1
+              (Stk.codec_state Check.Codec.string);
           instrumented_step = Some (fun sink s a -> Stk.step ~sink s a);
         };
     }
@@ -1361,9 +1355,8 @@ let vs_stack_faulty () =
                  ());
           symmetry = Some (stack_symmetry ());
           codec =
-            Some
-              (Check.Codec.make ~id:"vs-stack-faulty" ~version:1
-                   (Stk.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"vs-stack-faulty" ~version:1
+              (Stk.codec_state Check.Codec.string);
           instrumented_step = Some (fun sink s a -> Stk.step ~sink s a);
         };
     }
@@ -1465,9 +1458,8 @@ let full_stack () =
                  ~class_of:full_stack_class ~key:Full.state_key);
           symmetry = None;
           codec =
-            Some
-              (Check.Codec.make ~id:"full-stack" ~version:1
-                   (Full.codec_state Check.Codec.string));
+            Check.Codec.make ~id:"full-stack" ~version:1
+              (Full.codec_state Check.Codec.string);
           instrumented_step = None;
         };
     }
@@ -1638,9 +1630,8 @@ let defect_stack_entry ~name ~doc ~expected ~cex_seed ~faults ?variant
                  ~invariant_reads:stack_refinement_reads ());
           symmetry = Some (stack_symmetry ());
           codec =
-            Some
-              (Check.Codec.make ~id:name ~version:1
-                   (Stk.codec_state Check.Codec.string));
+            Check.Codec.make ~id:name ~version:1
+              (Stk.codec_state Check.Codec.string);
           instrumented_step = Some (fun sink s a -> Stk.step ~sink s a);
         };
     }

@@ -33,8 +33,9 @@ let component = "check.explorer"
 (* Phase vocabulary of the profiled explorer: candidate generation +
    stepping ("expand"), flat codec serialization ("encode" — only the
    codec path spends time here; the string path renders inside
-   "fingerprint"), key digesting ("fingerprint") and the seen-set
-   section ("dedup") are common to both engines.  The sharded engine adds
+   "fingerprint", as does a codec run's RNG-seed key), key digesting
+   ("fingerprint") and the seen-set section ("dedup") are common to both
+   engines.  The sharded engine adds
    its coordination costs: "route" (pushing successor batches into other
    workers' rings, including full-ring retries), "flush" (draining the
    own inbound ring) and "idle" (spinning at an empty frontier waiting
@@ -67,7 +68,7 @@ let expand_chunk = 64
 
 let run (type s a)
     (module A : Ioa.Automaton.GENERATIVE with type state = s and type action = a)
-    ~key ~invariants ?(seed = [| 0 |]) ?(max_states = 200_000) ?max_depth
+    ?key ~invariants ?(seed = [| 0 |]) ?(max_states = 200_000) ?max_depth
     ?(jobs = 1) ?state_rng ?(trace = false) ?check_step ?check_key ?ample
     ?canon ?codec ?(mode = `Deterministic) ?observe ?sink ?metrics ?prof
     ?(progress_every = 10_000) ~init () =
@@ -135,21 +136,23 @@ let run (type s a)
     |> Option.map (fun inv ->
            { Ioa.Invariant.invariant = inv.Ioa.Invariant.name; index; state })
   in
-  (* Fingerprint source: the flat codec image when a codec is attached
-     (both modes, so throughput/deterministic parity is by construction —
-     the per-state RNG seeds and dedup classes agree), the rendered key
-     otherwise.  Codec scratches are single-threaded, so the parallel
-     engine indexes one per worker slot; the "encode" phase isolates
-     serialization cost from the digest proper. *)
+  (* Fingerprint source (the dedup identity): the flat codec image when a
+     codec is attached (both modes, so throughput/deterministic parity is
+     by construction), the rendered key otherwise.  Codec scratches are
+     single-threaded, so the sharded engine indexes one per worker slot;
+     the "encode" phase isolates serialization cost from the digest
+     proper. *)
+  let key_fp key ~slot state =
+    pf_enter ~slot ph_fp;
+    let fp = Fingerprint.of_string (key state) in
+    pf_leave ~slot ph_fp;
+    fp
+  in
   let fingerprint =
-    match codec with
-    | None ->
-        fun ~slot state ->
-          pf_enter ~slot ph_fp;
-          let fp = Fingerprint.of_string (key state) in
-          pf_leave ~slot ph_fp;
-          fp
-    | Some c ->
+    match (codec, key) with
+    | None, None -> invalid_arg "Explorer.run: needs a key or a codec"
+    | None, Some key -> key_fp key
+    | Some c, _ ->
         let scratches = Array.init jobs (fun _ -> Codec.scratch ()) in
         fun ~slot state ->
           pf_enter ~slot ph_encode;
@@ -162,7 +165,19 @@ let run (type s a)
           pf_leave ~slot ph_fp;
           fp
   in
-  let state_rng_of fp = Random.State.make (Fingerprint.seed fp seed) in
+  (* Per-state RNG seed source: the key's fingerprint whenever a key is
+     given, the dedup fingerprint otherwise.  Only a codec-deduped run
+     that also carries a key renders anything here — once per expanded
+     state, charged to "fingerprint" — so it explores the key-seeded
+     graph of a key-only run while deduping on the codec. *)
+  let seed_fp =
+    match (codec, key) with
+    | Some _, Some key -> fun ~slot state _ -> key_fp key ~slot state
+    | _ -> fun ~slot:_ _ fp -> fp
+  in
+  let state_rng_of ~slot state fp =
+    Random.State.make (Fingerprint.seed (seed_fp ~slot state fp) seed)
+  in
   (* Orbit canonicalization rewrites every state to its representative
      before fingerprinting, the initial state included.  Canonicalizers
      return their argument physically when it already is the
@@ -273,11 +288,12 @@ let run (type s a)
         | None -> (
             match Fingerprint.Table.find_opt seen fp with
             | Some rep ->
-                (* Audit the key function when an equality is available: a
-                   collision between states the equality distinguishes means
-                   the dedup merged genuinely different states — whether
-                   because [key] is not injective or because two keys share a
-                   fingerprint — and the exploration is unsound. *)
+                (* Audit the dedup identity when an equality is available:
+                   a collision between states the equality distinguishes
+                   means the dedup merged genuinely different states —
+                   whether because the codec (or, without one, [key]) is not
+                   injective or because two images share a fingerprint — and
+                   the exploration is unsound. *)
                 (match check_key with
                 | Some equal when not (equal rep state) ->
                     key_clash := Some (rep, state)
@@ -344,7 +360,7 @@ let run (type s a)
         if expand then begin
           pf_enter ~slot:0 ph_expand;
           let lat0 = latency_t0 () in
-          let rng = if state_rng then state_rng_of fp else rng in
+          let rng = if state_rng then state_rng_of ~slot:0 state fp else rng in
           let candidates = A.candidates rng state in
           let actions = List.filter (A.enabled state) candidates in
           (match observe with
@@ -673,7 +689,7 @@ let run (type s a)
         | Some _ | None -> ());
         pf_enter ~slot:wid ph_expand;
         let lat0 = latency_t0 () in
-        let rng = state_rng_of fp in
+        let rng = state_rng_of ~slot:wid state fp in
         let candidates = A.candidates rng state in
         let actions = List.filter (A.enabled state) candidates in
         (match observe with

@@ -4,9 +4,10 @@
     payloads) the automata of this repository have small enough reachable
     state spaces to enumerate outright.  The explorer performs a BFS from
     the initial state, deduplicating states by a 128-bit {!Fingerprint} of
-    a caller-provided canonical key, checking the given invariants at every
-    reachable state, and optionally checking a per-step property (used for
-    exhaustive refinement checking).
+    a caller-provided canonical identity — the flat {!Codec} image when
+    [?codec] is given, the rendered [?key] string otherwise — checking the
+    given invariants at every reachable state, and optionally checking a
+    per-step property (used for exhaustive refinement checking).
 
     Two engines run the search; [run] picks one from its arguments:
 
@@ -31,10 +32,12 @@
        but a scheduling-dependent prefix.}}
 
     [jobs > 1] forces the {b per-state RNG} discipline, whichever engine
-    runs — the RNG handed to [candidates] is seeded from the state's
-    fingerprint, so the candidate set at a state is a pure function of
+    runs — the RNG handed to [candidates] is seeded from a fingerprint of
+    the state, so the candidate set at a state is a pure function of
     (run seed, state) and the explored state graph is independent of
-    visit order and interleaving.  [jobs:1] without [state_rng]
+    visit order and interleaving.  The seed fingerprint is the [key]'s
+    whenever a key is given, and the dedup fingerprint otherwise (see
+    [?key] and [?codec] on {!run}).  [jobs:1] without [state_rng]
     reproduces the classic sequential stream-RNG search exactly.
 
     Unlike the random engine, candidates must over-approximate the enabled
@@ -90,8 +93,9 @@ type ('s, 'a) outcome = {
       (** first per-step property failure, if any *)
   key_clash : ('s * 's) option;
       (** two states the dedup conflated that [check_key] distinguishes —
-          either the key function is not injective or two keys share a
-          fingerprint; in both cases the exploration is unsound *)
+          either the dedup identity (the codec, or the key without one) is
+          not injective or two images share a fingerprint; in both cases
+          the exploration is unsound *)
   trace : trace option;  (** present iff the run was started with [~trace:true] *)
   por_skipped : int;
       (** enabled actions the [ample] filter declined to fire; 0 without
@@ -101,10 +105,30 @@ type ('s, 'a) outcome = {
           non-identical) orbit representative; 0 without [?canon] *)
 }
 
-(** [run (module A) ~key ~invariants ~init ()] explores breadth-first.
+(** [run (module A) ~codec ~invariants ~init ()] explores breadth-first.
+    At least one of [?key] and [?codec] must be given
+    ([Invalid_argument] otherwise); they split two jobs between them:
 
-    @param key canonical rendering used to deduplicate states (via its
-           128-bit fingerprint; the key string itself is not retained).
+    {ul
+    {- {b dedup}: states are identified by the fingerprint of the codec
+       image when [?codec] is given, of the key string otherwise;}
+    {- {b RNG seed} (under [state_rng]): the per-state RNG is seeded from
+       the key's fingerprint when [?key] is given, and from the dedup
+       fingerprint otherwise.}}
+
+    So a key-only run renders the key once per admitted successor and
+    seeds from that same fingerprint; a codec-only run never renders a
+    key; a run with both dedups on the codec and renders the key once
+    per {i expanded} state, only to seed its RNG — it explores exactly
+    the graph of the key-only run (the codec must induce the key's
+    equivalence classes, which [test/test_codec.ml] checks per registry
+    entry) at a fraction of the rendering cost.  Entries whose generators
+    draw from the per-state RNG explore a different — equally valid —
+    graph when seeded from the codec fingerprint instead of the key's.
+
+    @param key canonical state rendering (via its 128-bit fingerprint;
+           the key string itself is not retained): the dedup identity
+           without [?codec], the RNG seed source whenever given.
     @param seed RNG seed for the generative module (default [[|0|]]).
     @param max_states stop after visiting this many distinct states
            (default 200_000).  The state that crosses the bound is still
@@ -152,16 +176,14 @@ type ('s, 'a) outcome = {
            [?metrics] is given, the [explorer.por_skipped] counter.
            Omitting the parameter leaves the explored graph byte-identical
            to previous releases.
-    @param codec flat state codec ({!Codec}): fingerprints are computed
-           from the state's canonical byte image instead of the rendered
-           [key] string — no per-state string build, the E15/E17
-           bottleneck.  Dedup classes are unchanged wherever the codec is
-           injective up to the same equality as [key] (the registry
-           codecs are; [test/test_codec.ml] checks it differentially).
-           Note the per-state RNG is seeded from the fingerprint, so
-           entries whose generators draw from it explore a different —
-           equally valid — graph than the string path; omitting the
-           parameter reproduces the string path byte-identically.
+    @param codec flat state codec ({!Codec}): the dedup identity when
+           given — fingerprints are computed from the state's canonical
+           byte image instead of the rendered [key] string, so no
+           per-successor string build (the E15/E17 bottleneck).  Dedup
+           classes are unchanged wherever the codec is injective up to the
+           same equality as [key] (the registry codecs are;
+           [test/test_codec.ml] checks it differentially).  Without [?key]
+           the dedup fingerprint also seeds the per-state RNG.
     @param mode [`Deterministic] (default) keeps a seen-table of
            representatives, on either engine.  [`Throughput] switches to
            hash compaction: each seen-set stores bare 128-bit fingerprints
@@ -215,7 +237,7 @@ type ('s, 'a) outcome = {
     @param progress_every progress-event stride (default 10_000). *)
 val run :
   (module Ioa.Automaton.GENERATIVE with type state = 's and type action = 'a) ->
-  key:('s -> string) ->
+  ?key:('s -> string) ->
   invariants:'s Ioa.Invariant.t list ->
   ?seed:int array ->
   ?max_states:int ->
@@ -243,6 +265,8 @@ val run :
     slot per worker — the [?prof] argument for [run ~jobs].  [encode]
     accrues only on the [?codec] path (flat serialization), so an
     E17-style string-path profile attributes the same work to
-    [fingerprint]; [route]/[flush]/[idle] accrue only on the sharded
+    [fingerprint]; a run with both [?codec] and [?key] charges its
+    per-expansion RNG-seed key render to [fingerprint] too, pausing the
+    enclosing [expand]; [route]/[flush]/[idle] accrue only on the sharded
     engine. *)
 val profile : jobs:int -> Obs.Prof.t

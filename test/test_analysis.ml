@@ -81,8 +81,16 @@ let gen (module M : Ioa.Automaton.GENERATIVE
     with type state = int
      and type action = caction)
 
-let subject ?(key = string_of_int) ?(invariants = []) ?(complete = [])
-    ?(exact = false) ?quiescent ?(allowed_dead = []) m =
+let int_codec = Check.Codec.make ~id:"counter" ~version:1 Check.Codec.int
+
+(* Defect: a codec that writes only the parity, so it conflates every two
+   states of equal parity — not injective. *)
+let parity_codec =
+  Check.Codec.make ~id:"counter-parity" ~version:1
+    (Check.Codec.via ~to_:(fun s -> s mod 2) ~of_:Fun.id Check.Codec.int)
+
+let subject ?(key = string_of_int) ?(codec = int_codec) ?(invariants = [])
+    ?(complete = []) ?(exact = false) ?quiescent ?(allowed_dead = []) m =
   {
     An.automaton = gen m;
     init = 0;
@@ -104,7 +112,7 @@ let subject ?(key = string_of_int) ?(invariants = []) ?(complete = [])
     generator = "exact; deterministic";
     footprint = None;
     symmetry = None;
-    codec = None;
+    codec;
     instrumented_step = None;
   }
 
@@ -222,20 +230,44 @@ let test_invariant_violation () =
   Alcotest.(check bool) "violation reported" true
     (List.mem "invariant-violation" (kinds r))
 
+let parity_key s = string_of_int (s mod 2)
+
 let test_key_clash () =
-  (* a key that conflates states of equal parity is not injective; the
-     audit runs on the sequential engine at jobs:1 and on the shard's
-     owning worker at jobs:4 *)
+  (* the analyzer dedups on the codec, so the audit guards the codec: a
+     parity codec is caught on the sequential engine at jobs:1 and on the
+     shard's owning worker at jobs:4 *)
   List.iter
     (fun jobs ->
       let r =
         An.analyze ~name:"clash" ~jobs
-          (subject ~key:(fun s -> string_of_int (s mod 2)) (module Counter))
+          (subject ~codec:parity_codec (module Counter))
       in
       Alcotest.(check bool)
-        (Printf.sprintf "clash reported at jobs:%d" jobs)
+        (Printf.sprintf "codec clash reported at jobs:%d" jobs)
         true
-        (List.mem "key-clash" (kinds r)))
+        (List.mem "key-clash" (kinds r));
+      (* the key only seeds the RNG there: a parity key conflates nothing *)
+      let r' =
+        An.analyze ~name:"seed-only key" ~jobs
+          (subject ~key:parity_key (module Counter))
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "parity key alone is no clash at jobs:%d" jobs)
+        [] (kinds r');
+      Alcotest.(check int)
+        (Printf.sprintf "all six states at jobs:%d" jobs)
+        6 r'.F.states;
+      (* key-only dedup, what [find_cex] and bin/model_check run, is
+         audited the same way *)
+      let out =
+        Check.Explorer.run
+          (gen (module Counter))
+          ~key:parity_key ~check_key:Int.equal ~invariants:[] ~jobs ~init:0 ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "key clash reported at jobs:%d" jobs)
+        true
+        (Option.is_some out.Check.Explorer.key_clash))
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -382,7 +414,9 @@ let vstack_subject ?variant ~faults () =
     generator = "over-approx; rng-paced";
     footprint = None;
     symmetry = None;
-    codec = None;
+    codec =
+      Check.Codec.make ~id:"vs-stack" ~version:1
+        (VStk.codec_state Check.Codec.string);
     instrumented_step = None;
   }
 

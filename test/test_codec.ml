@@ -43,11 +43,6 @@ let entry_equal (type s a) (sub : (s, a) An.subject) : s -> s -> bool =
   | Some eq -> eq
   | None -> fun a b -> String.equal (sub.An.key a) (sub.An.key b)
 
-let codec_of (type s a) (sub : (s, a) An.subject) name : s C.t =
-  match sub.An.codec with
-  | Some c -> c
-  | None -> Alcotest.failf "%s: registry entry ships no codec" name
-
 let all_entries () = Reg.all () @ Reg.defects ()
 
 (* ------------------------------------------------------------------ *)
@@ -56,7 +51,7 @@ let all_entries () = Reg.all () @ Reg.defects ()
 
 let check_roundtrip (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let eq = entry_equal sub in
   let states = observed ~max_states:400 sub in
   Alcotest.(check bool) (e.name ^ ": walked some states") true (states <> []);
@@ -81,7 +76,7 @@ let prop_roundtrip =
       List.iter
         (fun (Reg.Entry e) ->
           let sub = e.subject in
-          let c = codec_of sub e.name in
+          let c = sub.An.codec in
           let eq = entry_equal sub in
           List.iter
             (fun s ->
@@ -127,7 +122,7 @@ let partition_agrees ~name ~key ~image states =
 
 let check_injectivity (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let states = observed ~max_states:600 sub in
   partition_agrees ~name:(e.name ^ "/bytes") ~key:sub.An.key
     ~image:(fun s -> C.to_hex (C.encode c s))
@@ -167,7 +162,7 @@ let golden =
 let golden_digests () =
   List.iter
     (fun (Reg.Entry e) ->
-      let c = codec_of e.subject e.name in
+      let c = e.subject.An.codec in
       let got =
         Check.Fingerprint.to_hex
           (Check.Fingerprint.of_string (Bytes.to_string (C.encode c e.subject.An.init)))
@@ -188,7 +183,7 @@ let expect_error ~what name = function
 
 let check_version (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let bumped = C.with_version (C.version c + 1) c in
   (match C.decode c (C.encode bumped sub.An.init) with
   | Ok _ -> Alcotest.failf "%s: wrong version decoded" e.name
@@ -206,7 +201,7 @@ let version_all () = List.iter check_version (all_entries ())
 
 let check_truncation (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let b = C.encode c sub.An.init in
   let n = Bytes.length b in
   for len = 0 to n - 1 do
@@ -224,7 +219,7 @@ let truncation_all () = List.iter check_truncation (all_entries ())
    varied corruption patterns without RNG plumbing. *)
 let check_mutation (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let states = observed ~max_states:3 sub in
   List.iter
     (fun s ->
@@ -250,7 +245,7 @@ let mutation_all () = List.iter check_mutation (all_entries ())
    length discipline), not silently ignored. *)
 let check_trailing (Reg.Entry e) =
   let sub = e.subject in
-  let c = codec_of sub e.name in
+  let c = sub.An.codec in
   let b = C.encode c sub.An.init in
   let b' = Bytes.cat b (Bytes.of_string "\x00") in
   expect_error ~what:"frame with trailing garbage" e.name (C.decode c b')
@@ -341,6 +336,53 @@ let seeded_defect_differential () =
     (Printf.sprintf "aliasing codec conflates states (%d < %d)" bad
        string_path)
     true (bad < string_path)
+
+(* What [Analyzer.analyze] runs on every registry entry: dedup on the
+   codec, with the key rendered once per expanded state only to seed its
+   RNG.  Since the codec partitions states exactly as the key does, that
+   must explore the very graph of the key-only run — RNG-gated entries
+   included — while a counting wrapper sees one key render per observed
+   expansion instead of one per admitted successor. *)
+let codec_dedup_matches_key_only () =
+  List.iter
+    (fun (Reg.Entry e) ->
+      let sub = e.subject in
+      let run ?codec () =
+        let calls = ref 0 and expansions = ref 0 in
+        let key s =
+          incr calls;
+          sub.An.key s
+        in
+        let out =
+          Check.Explorer.run sub.An.automaton ~key ?codec ~invariants:[]
+            ~seed:[| 0 |] ~max_states:20_000 ~jobs:1 ~state_rng:true
+            ~observe:(fun _ -> incr expansions)
+            ~init:sub.An.init ()
+        in
+        (out.Check.Explorer.stats, !calls, !expansions)
+      in
+      let ks, key_calls, _ = run () in
+      let cs, seed_calls, expansions = run ~codec:sub.An.codec () in
+      let field what f =
+        Alcotest.(check int) (Printf.sprintf "%s: %s" e.name what) (f ks) (f cs)
+      in
+      field "states" (fun s -> s.Check.Explorer.states);
+      field "transitions" (fun s -> s.Check.Explorer.transitions);
+      field "depth" (fun s -> s.Check.Explorer.depth);
+      Alcotest.(check bool)
+        (e.name ^ ": truncation")
+        ks.Check.Explorer.truncated cs.Check.Explorer.truncated;
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: key-only run renders the key per successor (%d calls, %d \
+            transitions)"
+           e.name key_calls ks.Check.Explorer.transitions)
+        true
+        (key_calls > ks.Check.Explorer.transitions);
+      Alcotest.(check int)
+        (e.name ^ ": codec run renders the key once per expansion")
+        expansions seed_calls)
+    (Reg.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Registry-wide mode parity                                           *)
@@ -455,7 +497,7 @@ let corpus_states_decode () =
               match Reg.find entries r.Check.Cex.entry with
               | None -> Alcotest.failf "unknown entry %s" r.Check.Cex.entry
               | Some (Reg.Entry e) -> (
-                  let c = codec_of e.subject e.name in
+                  let c = e.subject.An.codec in
                   match C.of_hex hex with
                   | Error err ->
                       Alcotest.failf "%s: bad hex: %s" e.name err
@@ -532,7 +574,7 @@ let memo_matches_one_shot () =
   Alcotest.(check int) "both stack entries present" 2 (List.length entries);
   List.iter
     (fun (Reg.Entry e) ->
-      let c = codec_of e.subject e.name in
+      let c = e.subject.An.codec in
       let states = successor_walk ~max_states:1_200 e.subject in
       Alcotest.(check bool)
         (e.name ^ ": at least 1000 states")
@@ -627,7 +669,7 @@ let memo_two_domains () =
   with
   | None -> Alcotest.fail "vs-stack-faulty missing from the registry"
   | Some (Reg.Entry e) ->
-      let c = codec_of e.subject e.name in
+      let c = e.subject.An.codec in
       let states = successor_walk ~max_states:600 e.subject in
       let want = List.map (fun s -> preimage_of_frame (C.encode c s)) states in
       let encode_all () =
@@ -663,6 +705,9 @@ let () =
           Alcotest.test_case "golden digest per entry" `Quick golden_digests;
           Alcotest.test_case "corpus wire forms decode" `Quick
             corpus_states_decode;
+          Alcotest.test_case
+            "codec dedup with key seeds = key-only graph, every entry" `Quick
+            codec_dedup_matches_key_only;
         ] );
       ( "framing",
         [

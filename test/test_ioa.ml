@@ -282,6 +282,19 @@ let test_explorer_finds_violation () =
   | Some v -> Alcotest.(check int) "state 4 found" 4 v.Ioa.Invariant.state
   | None -> Alcotest.fail "must find the violation"
 
+(* Dedup needs an identity: a codec, a key, or both. *)
+let test_explorer_needs_identity () =
+  Alcotest.check_raises "neither key nor codec"
+    (Invalid_argument "Explorer.run: needs a key or a codec") (fun () ->
+      ignore (Check.Explorer.run counter_gen ~invariants:[] ~init:0 ()));
+  let codec = Check.Codec.make ~id:"counter" ~version:1 Check.Codec.int in
+  let states ?key ?codec () =
+    (Check.Explorer.run counter_gen ?key ?codec ~invariants:[] ~init:0 ())
+      .Check.Explorer.stats.Check.Explorer.states
+  in
+  Alcotest.(check int) "codec alone" 6 (states ~codec ());
+  Alcotest.(check int) "codec and key" 6 (states ~key:string_of_int ~codec ())
+
 (* A depth cut runs the sequential engine at every job count, so the
    stats — depth included — cannot depend on [jobs]. *)
 let test_explorer_max_depth () =
@@ -413,6 +426,8 @@ let () =
         [
           Alcotest.test_case "exact state count" `Quick test_explorer_counts;
           Alcotest.test_case "finds violations" `Quick test_explorer_finds_violation;
+          Alcotest.test_case "needs a key or a codec" `Quick
+            test_explorer_needs_identity;
           Alcotest.test_case "max depth" `Quick test_explorer_max_depth;
           Alcotest.test_case "step property" `Quick test_explorer_step_property;
           Alcotest.test_case "violation step recorded" `Quick
