@@ -2,9 +2,10 @@
 
    Connects to a hub socket (bin/soak or any Live.Hub), names itself,
    and services its VS engine over real packet traffic until the hub
-   sends Shutdown or dies.  The local --trace file is written
-   crash-safely (one write+flush per JSONL event), so a SIGKILL'd
-   daemon leaves a decodable trace prefix behind. *)
+   sends Shutdown or dies.  The local --trace file is flushed once per
+   event-loop turn, just before the socket, so it always holds every
+   event the hub can have received, and a SIGKILL'd daemon leaves a
+   decodable trace prefix behind. *)
 
 let () =
   let me = ref 0 in

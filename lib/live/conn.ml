@@ -2,9 +2,12 @@ type t = {
   fd : Unix.file_descr;
   reader : Wire.Reader.t;
   scratch : bytes;
-  outq : bytes Queue.t;
-  mutable out_off : int;  (* bytes of [Queue.peek outq] already written *)
-  mutable out_len : int;  (* total unwritten bytes across the queue *)
+  (* Outgoing bytes: [out_off, out_end) of [out] holds whole frames in
+     send order, the first possibly part-written.  [flush] writes the
+     whole window at once, not frame by frame. *)
+  mutable out : bytes;
+  mutable out_off : int;
+  mutable out_end : int;
   mutable alive : bool;
   mutable err : string option;
   mutable closed : bool;
@@ -16,9 +19,9 @@ let create fd =
     fd;
     reader = Wire.Reader.create ();
     scratch = Bytes.create 65536;
-    outq = Queue.create ();
+    out = Bytes.create 65536;
     out_off = 0;
-    out_len = 0;
+    out_end = 0;
     alive = true;
     err = None;
     closed = false;
@@ -27,7 +30,7 @@ let create fd =
 let fd t = t.fd
 let alive t = t.alive
 let error t = t.err
-let pending_out t = t.out_len
+let pending_out t = t.out_end - t.out_off
 
 let die t reason =
   if t.alive then begin
@@ -35,37 +38,46 @@ let die t reason =
     t.err <- Some reason
   end
 
+(* Make room for [n] more bytes at [out_end]: slide the window to the
+   front first, grow (doubling) only if still short. *)
+let reserve t n =
+  if t.out_end + n > Bytes.length t.out then begin
+    let pending = pending_out t in
+    let cap = ref (Bytes.length t.out) in
+    while !cap < pending + n do
+      cap := !cap * 2
+    done;
+    let dst = if !cap = Bytes.length t.out then t.out else Bytes.create !cap in
+    Bytes.blit t.out t.out_off dst 0 pending;
+    t.out <- dst;
+    t.out_off <- 0;
+    t.out_end <- pending
+  end
+
 let send t frame =
   if t.alive then begin
     let b = Wire.to_wire frame in
-    Queue.add b t.outq;
-    t.out_len <- t.out_len + Bytes.length b
+    let n = Bytes.length b in
+    reserve t n;
+    Bytes.blit b 0 t.out t.out_end n;
+    t.out_end <- t.out_end + n
   end
 
+(* [Unix.single_write] moves at most 64 KiB per call, so a flush costs
+   ⌈pending / 64 KiB⌉ writes, plus one that meets [EAGAIN] when the
+   kernel pushes back. *)
 let flush t =
-  if t.alive then
-    let rec go () =
-      match Queue.peek_opt t.outq with
-      | None -> ()
-      | Some b -> (
-          let len = Bytes.length b - t.out_off in
-          match Unix.write t.fd b t.out_off len with
-          | 0 -> ()
-          | n ->
-              t.out_len <- t.out_len - n;
-              if n = len then begin
-                ignore (Queue.pop t.outq);
-                t.out_off <- 0;
-                go ()
-              end
-              else t.out_off <- t.out_off + n
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-            ->
-              ()
-          | exception Unix.Unix_error (e, _, _) ->
-              die t (Unix.error_message e))
-    in
-    go ()
+  let rec go () =
+    if t.alive && pending_out t > 0 then
+      match Unix.single_write t.fd t.out t.out_off (pending_out t) with
+      | 0 -> ()
+      | n ->
+          t.out_off <- t.out_off + n;
+          go ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      | exception Unix.Unix_error (e, _, _) -> die t (Unix.error_message e)
+  in
+  go ()
 
 let recv t =
   if not t.alive then []

@@ -1,8 +1,13 @@
 (** A non-blocking framed connection: one socket carrying {!Wire}
     frames in both directions.
 
-    Sends are buffered ({!send} never blocks and never raises); {!flush}
-    pushes as much as the kernel accepts.  {!recv} drains whatever is
+    Sends are buffered ({!send} never blocks and never raises): each
+    frame is appended whole to one contiguous output buffer per
+    connection, so the unwritten bytes are always a run of complete
+    frames in send order, the first possibly part-written.  {!flush}
+    hands that run to the kernel in one [write] per 64 KiB, so an event
+    loop that sends many frames and flushes once per turn pays one
+    system call per turn, not one per frame.  {!recv} drains whatever is
     readable and returns the complete frames it reassembled.  A peer
     death — EOF, [EPIPE]/[ECONNRESET], or a corrupt stream — marks the
     connection dead ({!alive} false, {!error} says why); all later
@@ -22,15 +27,16 @@ val alive : t -> bool
     error), once [not (alive t)]. *)
 val error : t -> string option
 
-(** Queue a frame for writing.  Silently dropped on a dead
+(** Append a frame to the output buffer.  Silently dropped on a dead
     connection. *)
 val send : t -> Wire.frame -> unit
 
-(** Bytes queued but not yet accepted by the kernel. *)
+(** Bytes buffered but not yet accepted by the kernel. *)
 val pending_out : t -> int
 
-(** Write queued bytes until the kernel pushes back ([EAGAIN]) or the
-    queue empties. *)
+(** Write buffered bytes until the kernel pushes back ([EAGAIN]) or the
+    buffer empties: [⌈pending_out / 64 KiB⌉] writes, plus one when the
+    kernel pushes back. *)
 val flush : t -> unit
 
 (** Read until [EAGAIN] (or EOF / error) and return the complete frames

@@ -104,24 +104,30 @@ let serve ?trace_oc ~me ~retransmit_s fd =
         let line = Obs.Trace.event_to_string e in
         (match trace_oc with
         | Some oc ->
-            (* one write + flush per line: a SIGKILL tears at most the
-               line in flight (Trace.read_jsonl_prefix recovers) *)
-            output_string oc (line ^ "\n");
-            flush oc
+            output_string oc line;
+            output_char oc '\n'
         | None -> ());
         Conn.send conn (Wire.Trace_line line))
+  in
+  (* One flush per loop turn: the trace file first, then the socket, so
+     the file always holds every event the hub can have received.  A
+     SIGKILL leaves a prefix, torn at most in its last line
+     (Trace.read_jsonl_prefix recovers it). *)
+  let flush_out () =
+    Option.iter flush trace_oc;
+    Conn.flush conn
   in
   let send_pkt dst pkt = Conn.send conn (Wire.Pkt { src = me; dst; pkt }) in
   let drain () = drain ~sink ~send_pkt st in
   let last_rtx = ref (now ()) in
   let running = ref true in
   while !running && Conn.alive conn do
-    Conn.flush conn;
+    flush_out ();
     let wr = if Conn.pending_out conn > 0 then [ fd ] else [] in
     let timeout = max 0.005 (retransmit_s /. 4.) in
     (match Unix.select [ fd ] wr [] timeout with
     | rd, w, _ ->
-        if w <> [] then Conn.flush conn;
+        if w <> [] then flush_out ();
         if rd <> [] then begin
           let frames = Conn.recv conn in
           List.iter
@@ -152,9 +158,9 @@ let serve ?trace_oc ~me ~retransmit_s fd =
   let deadline = now () +. 1.0 in
   while Conn.alive conn && Conn.pending_out conn > 0 && now () < deadline do
     (match Unix.select [] [ fd ] [] 0.05 with
-    | _, w, _ -> if w <> [] then Conn.flush conn
+    | _, w, _ -> if w <> [] then flush_out ()
     | exception Unix.Unix_error (EINTR, _, _) -> ());
-    Conn.flush conn
+    flush_out ()
   done;
   Conn.close conn
 

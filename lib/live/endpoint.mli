@@ -13,10 +13,12 @@
     prefixes; [Shutdown] (or hub death) ends the loop.
 
     Tracing: every accepted forward ("sequenced") and every delivery
-    ("deliver") is emitted on component ["vs.engine"], written
-    crash-safely to a local JSONL file (one [write]+[flush] per event —
-    a SIGKILL tears at most the final line) and shipped to the hub as a
-    [Trace_line] frame for online monitoring.
+    ("deliver") is emitted on component ["vs.engine"], appended to a
+    local JSONL file and shipped to the hub as a [Trace_line] frame for
+    online monitoring.  Both outputs are buffered and flushed once per
+    event-loop turn, the file immediately before the socket, so the
+    file always holds every event the hub can have received; a SIGKILL
+    leaves a decodable prefix, torn at most in its final line.
 
     The same loop runs as an OS process ([bin/dvsd] calls {!run}) or as
     a domain in the orchestrator's process ({!spawn_domain}) — the

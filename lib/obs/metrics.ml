@@ -7,7 +7,13 @@
 
 let series_shards = 8
 
-type shard = { smu : Mutex.t; mutable samples : float list (* newest first *) }
+(* A shard's samples, oldest first, unboxed in [samples.(0 .. n-1)]; the
+   array doubles when full, so a sample costs 1–2 words of heap. *)
+type shard = {
+  smu : Mutex.t;
+  mutable samples : Float.Array.t;
+  mutable n : int;
+}
 
 type series = shard array
 
@@ -61,13 +67,21 @@ let set t name v =
 let gauge t name = Option.map (fun c -> !c) (find t t.gauges name)
 
 let mk_series () =
-  Array.init series_shards (fun _ -> { smu = Mutex.create (); samples = [] })
+  Array.init series_shards (fun _ ->
+      { smu = Mutex.create (); samples = Float.Array.create 0; n = 0 })
 
 let observe t name v =
   let s = cell t t.series name mk_series in
   let sh = s.((Domain.self () :> int) land (series_shards - 1)) in
   Mutex.lock sh.smu;
-  sh.samples <- v :: sh.samples;
+  let cap = Float.Array.length sh.samples in
+  if sh.n = cap then begin
+    let grown = Float.Array.create (max 16 (2 * cap)) in
+    Float.Array.blit sh.samples 0 grown 0 cap;
+    sh.samples <- grown
+  end;
+  Float.Array.set sh.samples sh.n v;
+  sh.n <- sh.n + 1;
   Mutex.unlock sh.smu
 
 let now_ms () = Unix.gettimeofday () *. 1000.
@@ -82,15 +96,18 @@ type snapshot = {
   histograms : (string * Stats.summary option) list;
 }
 
-(* Merge the per-domain shards into one sample list; shard order, newest
-   first within a shard.  Summaries are order-independent. *)
+(* Merge the per-domain shards into one sample list: the last shard
+   first, oldest first within a shard. *)
 let series_samples (s : series) =
   Array.fold_left
     (fun acc sh ->
       Mutex.lock sh.smu;
-      let xs = sh.samples in
+      let acc = ref acc in
+      for i = sh.n - 1 downto 0 do
+        acc := Float.Array.get sh.samples i :: !acc
+      done;
       Mutex.unlock sh.smu;
-      List.rev_append xs acc)
+      !acc)
     [] s
 
 let snapshot (t : t) : snapshot =

@@ -102,21 +102,43 @@ let p_str key (e : Trace.event) =
    accepted forward exactly one position — (receiver, gid, src, fsn)
    sequenced twice is the No_dedup defect, visible online as a repeated
    key.  (Faithful engines drop the duplicate at the watermark and never
-   emit the second event.) *)
+   emit the second event.)
+
+   State per (receiver, gid, src): a watermark [wm] with every fsn in
+   [1, wm] seen, plus the fsns seen outside that range.  Faithful
+   senders number forwards 1, 2, 3, … so [stray] stays empty and a
+   stream costs a few words per sender, not per message. *)
+type fsns = { mutable wm : int; mutable stray : int list }
+
 let unique_sequencing () =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (string * string * string, fsns) Hashtbl.t = Hashtbl.create 64 in
   rule ~name:"unique-sequencing" (fun e ->
       if String.equal e.Trace.cls "sequenced" then
         match (p_str "p" e, p_str "gid" e, p_str "src" e, p_int "fsn" e) with
         | Some p, Some gid, Some src, Some fsn ->
-            let k = Printf.sprintf "%s|%s|%s|%d" p gid src fsn in
-            if Hashtbl.mem seen k then
+            let k = (p, gid, src) in
+            let f =
+              match Hashtbl.find_opt seen k with
+              | Some f -> f
+              | None ->
+                  let f = { wm = 0; stray = [] } in
+                  Hashtbl.add seen k f;
+                  f
+            in
+            if (1 <= fsn && fsn <= f.wm) || List.mem fsn f.stray then
               Some
                 (Printf.sprintf
                    "forward (src %s, view %s, fsn %d) sequenced twice at %s"
                    src gid fsn p)
             else begin
-              Hashtbl.add seen k ();
+              if fsn = f.wm + 1 then begin
+                f.wm <- fsn;
+                while List.mem (f.wm + 1) f.stray do
+                  f.wm <- f.wm + 1;
+                  f.stray <- List.filter (( <> ) f.wm) f.stray
+                done
+              end
+              else f.stray <- fsn :: f.stray;
               None
             end
         | _ -> None
@@ -146,27 +168,79 @@ let contiguous_delivery () =
       else None)
 
 (* Refinement obligation, prefix consistency: all members of a view must
-   agree on what occupies each position of its total order. *)
+   agree on what occupies each position of its total order.
+
+   State per view: the first entry ["origin:msg"] seen at each position,
+   in an array indexed by sn that doubles to cover the positions
+   delivery reaches (contiguous from 1), and a table for positions
+   beyond twice its length or below 1 (moved into the array when it
+   grows over them).  An absent slot is [""]: every entry holds a [':'].
+   A later member's entry is compared in place, without building the
+   string. *)
+type order = {
+  mutable dense : string array;
+  sparse : (int, string) Hashtbl.t;
+}
+
+let entry_is prior ~origin ~msg =
+  let lo = String.length origin and lm = String.length msg in
+  let rec same s off i n =
+    i = n || (prior.[off + i] = s.[i] && same s off (i + 1) n)
+  in
+  String.length prior = lo + 1 + lm
+  && prior.[lo] = ':'
+  && same origin 0 0 lo
+  && same msg (lo + 1) 0 lm
+
 let prefix_consistent () =
-  let order : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let views : (string, order) Hashtbl.t = Hashtbl.create 64 in
   rule ~name:"prefix-consistent" (fun e ->
       if String.equal e.Trace.cls "deliver" then
         match (p_str "gid" e, p_int "sn" e, p_str "origin" e, p_str "msg" e)
         with
-        | Some gid, Some sn, Some origin, Some msg ->
-            let k = Printf.sprintf "%s|%d" gid sn in
-            let entry = origin ^ ":" ^ msg in
-            (match Hashtbl.find_opt order k with
-            | Some prior when not (String.equal prior entry) ->
+        | Some gid, Some sn, Some origin, Some msg -> (
+            let o =
+              match Hashtbl.find_opt views gid with
+              | Some o -> o
+              | None ->
+                  let o =
+                    { dense = Array.make 16 ""; sparse = Hashtbl.create 1 }
+                  in
+                  Hashtbl.add views gid o;
+                  o
+            in
+            let n = Array.length o.dense in
+            if sn > n && sn <= 2 * n then begin
+              let d = Array.make (2 * n) "" in
+              Array.blit o.dense 0 d 0 n;
+              Hashtbl.filter_map_inplace
+                (fun k entry ->
+                  if k > n && k <= 2 * n then begin
+                    d.(k - 1) <- entry;
+                    None
+                  end
+                  else Some entry)
+                o.sparse;
+              o.dense <- d
+            end;
+            let in_dense = 1 <= sn && sn <= Array.length o.dense in
+            let prior =
+              if in_dense then o.dense.(sn - 1)
+              else Option.value ~default:"" (Hashtbl.find_opt o.sparse sn)
+            in
+            match prior with
+            | "" ->
+                let entry = origin ^ ":" ^ msg in
+                if in_dense then o.dense.(sn - 1) <- entry
+                else Hashtbl.add o.sparse sn entry;
+                None
+            | prior when entry_is prior ~origin ~msg -> None
+            | prior ->
                 Some
                   (Printf.sprintf
                      "view %s position %d delivered as %s by one member and \
                       %s by another"
-                     gid sn prior entry)
-            | Some _ -> None
-            | None ->
-                Hashtbl.add order k entry;
-                None)
+                     gid sn prior (origin ^ ":" ^ msg)))
         | _ -> None
       else None)
 

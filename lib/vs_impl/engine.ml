@@ -382,12 +382,14 @@ module Make (M : Msg_intf.S) = struct
   (* The delivered prefix of a view's total order, in delivery order —
      positions (g, 1 .. next_deliver-1) of [rcv_buf].  Everything
      delivered is necessarily buffered (delivery reads the buffer and
-     nothing evicts), so the walk is total over the prefix.  Live
+     nothing evicts), so the walk is total over the prefix.  One ordered
+     walk from (g, 1): [rcv_buf] keys sort by gid, then sn.  Live
      runtime snapshots compare these byte-for-byte across members. *)
   let delivered_prefix st g =
     let upto = next_deliver_of st g - 1 in
-    List.init upto (fun i -> Pg_map.find_opt (g, i + 1) st.rcv_buf)
-    |> List.filter_map Fun.id
+    Pg_map.to_seq_from (g, 1) st.rcv_buf
+    |> Seq.take_while (fun ((g', sn), _) -> Gid.equal g' g && sn <= upto)
+    |> Seq.map snd |> List.of_seq
 
   let safe_ready st =
     match st.cur with

@@ -325,6 +325,136 @@ let test_conn_socketpair () =
   Alcotest.(check bool) "peer death detected" false (Live.Conn.alive cb);
   Live.Conn.close cb
 
+(* Frames compare by their canonical codec images ([frame] compares
+   printed forms, which elide a snapshot's contents). *)
+let same_frames a b =
+  List.length a = List.length b
+  && List.for_all2 (fun x y -> Bytes.equal (W.encode x) (W.encode y)) a b
+
+let mixed_frame i =
+  match i mod 5 with
+  | 0 -> W.Client (Printf.sprintf "c%d" i)
+  | 1 -> W.Trace_line (String.make (i mod 700) 'x')
+  | 2 ->
+      W.Pkt
+        {
+          src = i mod 3;
+          dst = (i + 1) mod 3;
+          pkt = P.Fwd { gid = Gid.g0; fsn = i; payload = string_of_int i };
+        }
+  | 3 -> W.Pkt { src = 0; dst = 2; pkt = P.Ack { gid = Gid.g0; upto = i } }
+  | _ -> List.nth sample_frames (i mod List.length sample_frames)
+
+(* The coalesced output buffer under a tiny kernel buffer: thousands of
+   mixed frames and a multi-MB snapshot, sent in random batches with a
+   flush and a read between batches, so writes stop short mid-frame
+   over and over.  Every frame arrives, whole and in order, and the
+   buffer drains to 0. *)
+let test_conn_coalesced_small_sndbuf () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Unix.setsockopt_int a SO_SNDBUF 4096;
+  Unix.setsockopt_int b SO_RCVBUF 4096;
+  let ca = Live.Conn.create a and cb = Live.Conn.create b in
+  let snapshot =
+    W.Snapshot
+      {
+        proc = 1;
+        views =
+          [
+            ( Gid.succ Gid.g0,
+              List.init 300_000 (fun i -> (Printf.sprintf "m%d" i, i mod 3)) );
+          ];
+      }
+  in
+  Alcotest.(check bool) "the snapshot frame is multi-MB" true
+    (Bytes.length (W.to_wire snapshot) > 2_000_000);
+  let n = 5000 in
+  let outgoing =
+    List.init n (fun i -> if i = n / 2 then snapshot else mixed_frame i)
+  in
+  let rng = Random.State.make [| 11 |] in
+  let got = ref [] in
+  let receive timeout =
+    match Unix.select [ Live.Conn.fd cb ] [] [] timeout with
+    | rd, _, _ ->
+        if rd <> [] then got := List.rev_append (Live.Conn.recv cb) !got
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  in
+  let rec send_batches = function
+    | [] -> ()
+    | frames ->
+        let k = 1 + Random.State.int rng 50 in
+        let batch = List.filteri (fun i _ -> i < k) frames in
+        List.iter (Live.Conn.send ca) batch;
+        Live.Conn.flush ca;
+        receive 0.;
+        send_batches (List.filteri (fun i _ -> i >= k) frames)
+  in
+  send_batches outgoing;
+  let deadline = Unix.gettimeofday () +. 30. in
+  while
+    (Live.Conn.pending_out ca > 0 || List.length !got < n)
+    && Unix.gettimeofday () < deadline
+  do
+    Live.Conn.flush ca;
+    receive 0.01
+  done;
+  Alcotest.(check int) "output buffer drained" 0 (Live.Conn.pending_out ca);
+  Alcotest.(check bool) "both ends alive" true
+    (Live.Conn.alive ca && Live.Conn.alive cb);
+  Alcotest.(check int) "every frame arrived" n (List.length !got);
+  Alcotest.(check bool) "whole and in order" true
+    (same_frames outgoing (List.rev !got));
+  Live.Conn.close ca;
+  Live.Conn.close cb
+
+let syscw () =
+  let ic = open_in "/proc/self/io" in
+  let rec find () =
+    match input_line ic with
+    | line when String.starts_with ~prefix:"syscw:" line ->
+        int_of_string (String.trim (String.sub line 6 (String.length line - 6)))
+    | _ -> find ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+(* One flush of N queued small frames costs ⌈bytes / 64 KiB⌉ + 1 write
+   system calls at most, not one per frame. *)
+let test_conn_flush_syscalls () =
+  if not (Sys.file_exists "/proc/self/io") then ()
+  else begin
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+    Unix.setsockopt_int a SO_SNDBUF (1 lsl 20);
+    let ca = Live.Conn.create a and cb = Live.Conn.create b in
+    let n = 2000 in
+    let outgoing = List.init n mixed_frame in
+    List.iter (Live.Conn.send ca) outgoing;
+    let bytes = Live.Conn.pending_out ca in
+    let before = syscw () in
+    Live.Conn.flush ca;
+    let writes = syscw () - before in
+    let bound = ((bytes + 65535) / 65536) + 1 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d frames, %d bytes: %d writes <= %d" n bytes writes
+         bound)
+      true (writes <= bound);
+    let got = ref [] in
+    let deadline = Unix.gettimeofday () +. 10. in
+    while List.length !got < n && Unix.gettimeofday () < deadline do
+      Live.Conn.flush ca;
+      match Unix.select [ Live.Conn.fd cb ] [] [] 0.01 with
+      | rd, _, _ ->
+          if rd <> [] then got := List.rev_append (Live.Conn.recv cb) !got
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+    done;
+    Alcotest.(check bool) "all frames arrived in order" true
+      (same_frames outgoing (List.rev !got));
+    Live.Conn.close ca;
+    Live.Conn.close cb
+  end
+
 (* ------------------------------------------------------------------ *)
 (* In-process live run (domain mode)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -452,7 +582,14 @@ let () =
         ] );
       ("proxy", [ Alcotest.test_case "faults" `Quick test_proxy_faults ]);
       ("ring", [ Alcotest.test_case "torture" `Quick test_ring_torture ]);
-      ("conn", [ Alcotest.test_case "socketpair" `Quick test_conn_socketpair ]);
+      ( "conn",
+        [
+          Alcotest.test_case "socketpair" `Quick test_conn_socketpair;
+          Alcotest.test_case "coalesced, small SO_SNDBUF" `Quick
+            test_conn_coalesced_small_sndbuf;
+          Alcotest.test_case "one flush, few writes" `Quick
+            test_conn_flush_syscalls;
+        ] );
       ( "runtime",
         [ Alcotest.test_case "domain-mode-soak" `Quick test_live_domains ] );
     ]

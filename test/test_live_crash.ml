@@ -3,8 +3,9 @@
    delivering, the victim respawns and rejoins, the final view drains,
    and the totally-ordered prefixes of all three agree byte-for-byte
    (framed codec images).  The SIGKILL'd daemon's crash-safe JSONL trace
-   must decode as a clean prefix — plus a deterministic torn-file test
-   for [Obs.Trace.read_jsonl_prefix] itself. *)
+   must decode as a clean prefix that holds every event the hub merged
+   from it — plus a deterministic torn-file test for
+   [Obs.Trace.read_jsonl_prefix] itself. *)
 
 open Prelude
 module W = Live.Wire
@@ -106,9 +107,15 @@ let test_crash_restart () =
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   let trace p = Filename.concat dir (Printf.sprintf "trace-%d.jsonl" p) in
   let universe = Proc.Set.universe 3 in
+  let merged = Filename.concat dir "merged.jsonl" in
   let hub =
     Live.Hub.create
-      { Live.Hub.sock_path = sock; universe; seed = 5; merged_path = None }
+      {
+        Live.Hub.sock_path = sock;
+        universe;
+        seed = 5;
+        merged_path = Some merged;
+      }
   in
   let pids = Array.init 3 (fun p -> spawn_dvsd ~sock ~trace:(trace p) p) in
   let members () =
@@ -156,6 +163,7 @@ let test_crash_restart () =
       | Ok _ -> ()
       | Error err -> Alcotest.failf "victim event does not round-trip: %s" err)
     events;
+  let victim_file = events in
   (* respawn: the fleet re-forms at 3 and keeps delivering *)
   pids.(2) <- spawn_dvsd ~sock ~trace:(trace 2) 2;
   wait_members 3;
@@ -216,7 +224,49 @@ let test_crash_restart () =
   Alcotest.(check bool) "monitors clean across crash and rejoin" true
     (Live.Hub.ok hub);
   Live.Hub.shutdown hub;
-  Array.iter reap pids
+  Array.iter reap pids;
+  (* The endpoint flushes its trace file before its socket, so every
+     event the hub merged from the victim's first life — up to the
+     SIGKILL — is in the victim's file, in the same order: a prefix of
+     what the file decoded to.  The respawned victim's events follow in
+     the merged file, numbered from seq 0 again. *)
+  let ic = open_in merged in
+  let all, torn = Obs.Trace.read_jsonl_prefix ic in
+  close_in ic;
+  Alcotest.(check bool) "merged file complete after shutdown" true
+    (torn = None);
+  let from_victim =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        String.equal e.component "vs.engine"
+        && List.assoc_opt "p" e.payload = Some (Obs.Trace.Str "p2"))
+      all
+  in
+  let rec first_life prev = function
+    | (e : Obs.Trace.event) :: rest when e.seq > prev ->
+        e :: first_life e.seq rest
+    | _ -> []
+  in
+  let merged_before_kill = first_life (-1) from_victim in
+  Alcotest.(check bool) "the hub merged events from the victim" true
+    (merged_before_kill <> []);
+  let rec is_prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | x :: xs, y :: ys ->
+        String.equal
+          (Obs.Trace.event_to_string x)
+          (Obs.Trace.event_to_string y)
+        && is_prefix xs ys
+    | _ :: _, [] -> false
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%d merged victim events are a prefix of its %d file events"
+       (List.length merged_before_kill)
+       (List.length victim_file))
+    true
+    (is_prefix merged_before_kill victim_file)
 
 let () =
   Alcotest.run "live-crash"

@@ -222,6 +222,223 @@ let test_no_dedup_latches_mid_stream () =
               Alcotest.(check int) "latched: no further reports" 0
                 (List.length (Obs.Monitor.feed m benign))))
 
+(* ------------------------------------------------------------------ *)
+(* Compact rule state vs. the table-based rules it replaced            *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: the original [unique_sequencing] / [prefix_consistent],
+   one string-keyed table entry per message. *)
+let p_int key (e : Obs.Trace.event) =
+  match List.assoc_opt key e.Obs.Trace.payload with
+  | Some (Obs.Trace.Int n) -> Some n
+  | _ -> None
+
+let p_str key (e : Obs.Trace.event) =
+  match List.assoc_opt key e.Obs.Trace.payload with
+  | Some (Obs.Trace.Str s) -> Some s
+  | _ -> None
+
+let oracle_unique_sequencing () =
+  let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  Obs.Monitor.rule ~name:"unique-sequencing" (fun e ->
+      if String.equal e.Obs.Trace.cls "sequenced" then
+        match (p_str "p" e, p_str "gid" e, p_str "src" e, p_int "fsn" e) with
+        | Some p, Some gid, Some src, Some fsn ->
+            let k = Printf.sprintf "%s|%s|%s|%d" p gid src fsn in
+            if Hashtbl.mem seen k then
+              Some
+                (Printf.sprintf
+                   "forward (src %s, view %s, fsn %d) sequenced twice at %s"
+                   src gid fsn p)
+            else begin
+              Hashtbl.add seen k ();
+              None
+            end
+        | _ -> None
+      else None)
+
+let oracle_prefix_consistent () =
+  let order : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  Obs.Monitor.rule ~name:"prefix-consistent" (fun e ->
+      if String.equal e.Obs.Trace.cls "deliver" then
+        match (p_str "gid" e, p_int "sn" e, p_str "origin" e, p_str "msg" e)
+        with
+        | Some gid, Some sn, Some origin, Some msg -> (
+            let k = Printf.sprintf "%s|%d" gid sn in
+            let entry = origin ^ ":" ^ msg in
+            match Hashtbl.find_opt order k with
+            | Some prior when not (String.equal prior entry) ->
+                Some
+                  (Printf.sprintf
+                     "view %s position %d delivered as %s by one member and \
+                      %s by another"
+                     gid sn prior entry)
+            | Some _ -> None
+            | None ->
+                Hashtbl.add order k entry;
+                None)
+        | _ -> None
+      else None)
+
+(* Random streams shaped like the live hub's: per-key counters advance
+   1, 2, 3, … (the faithful case) and are perturbed by duplicates,
+   reorders, gaps, far jumps (the sparse positions, later overtaken by
+   the dense array), non-positive and huge numbers, conflicting
+   entries, entries whose "origin:msg" images collide, and malformed
+   payloads.  Names never contain '|', the oracle's key separator. *)
+let huge = [| max_int; max_int - 1; min_int; 1 lsl 40; 1 lsl 62 |]
+
+let gen_stream st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  (* few keys make long runs: positions grow past the far jumps *)
+  let some a = Array.sub a 0 (1 + Random.State.int st (Array.length a)) in
+  let procs = some [| "p0"; "p1"; "p2" |]
+  and gids = some [| "g1"; "g2"; "g3" |] in
+  (* per-stream noise, so some streams stay clean to the end *)
+  let dup_pct = pick [| 0; 0; 1; 5 |]
+  and conflict_pct = pick [| 0; 0; 1; 4 |] in
+  let next = Hashtbl.create 16 and owed = Hashtbl.create 16 in
+  let counter k = Option.value ~default:1 (Hashtbl.find_opt next k) in
+  let bump k n = Hashtbl.replace next k n in
+  let number k =
+    let c = counter k in
+    match (Hashtbl.find_opt owed k, Random.State.int st 100) with
+    | Some n, r when r < 50 ->
+        (* the late half of a reorder *)
+        Hashtbl.remove owed k;
+        n
+    | _, r when r < dup_pct -> 1 + Random.State.int st (max 1 (c - 1))
+    | _, r when r < 80 ->
+        bump k (c + 1);
+        c
+    | None, r when r < 86 ->
+        (* reorder: the successor first, the position itself later *)
+        bump k (c + 2);
+        Hashtbl.replace owed k c;
+        c + 1
+    | _, r when r < 90 ->
+        (* gap: a position never sent *)
+        bump k (c + 2);
+        c + 1
+    | _, r when r < 96 -> c + 20 + Random.State.int st 80 (* far jump *)
+    | _, r when r < 98 -> - Random.State.int st 3
+    | _ -> pick huge
+  in
+  let len = 1 + Random.State.int st 400 in
+  List.init len (fun seq ->
+      let cls, payload =
+        if Random.State.bool st then
+          let p = pick procs and gid = pick gids and src = pick procs in
+          let fsn = number (p ^ gid ^ src) in
+          ( "sequenced",
+            [
+              ("p", Obs.Trace.Str p);
+              ("gid", Obs.Trace.Str gid);
+              ("src", Obs.Trace.Str src);
+              ("fsn", Obs.Trace.Int fsn);
+            ] )
+        else
+          (* every member walks each view's positions *)
+          let p = pick procs and gid = pick gids in
+          let sn = number (p ^ gid) in
+          let origin, msg =
+            if Random.State.int st 100 >= conflict_pct then
+              ("p0", Printf.sprintf "m%d" sn)
+            else
+              pick
+                [|
+                  ("p1", Printf.sprintf "m%d" sn);
+                  ("p0", Printf.sprintf "n%d" sn);
+                  ("p1", "x");
+                  ("p0", "a:b");
+                  ("p0:a", "b");
+                |]
+          in
+          ( "deliver",
+            [
+              ("p", Obs.Trace.Str p);
+              ("gid", Obs.Trace.Str gid);
+              ("sn", Obs.Trace.Int sn);
+              ("origin", Obs.Trace.Str origin);
+              ("msg", Obs.Trace.Str msg);
+            ] )
+      in
+      let payload =
+        if Random.State.int st 50 = 0 then
+          (* malformed: a field missing or of the wrong type *)
+          match payload with
+          | _ :: rest when Random.State.bool st -> rest
+          | (k, _) :: rest -> (k, Obs.Trace.Int 0) :: rest
+          | [] -> []
+        else payload
+      in
+      {
+        Obs.Trace.seq;
+        kind = Obs.Trace.Point;
+        component = "vs.engine";
+        cls;
+        span = None;
+        payload;
+      })
+
+(* index and reason of the first violation, if any *)
+let first_latch rule events =
+  let m = Obs.Monitor.create [ rule ] in
+  let rec go i = function
+    | [] -> None
+    | e :: rest -> (
+        match Obs.Monitor.feed m e with
+        | v :: _ -> Some (i, v.Obs.Monitor.reason)
+        | [] -> go (i + 1) rest)
+  in
+  go 0 events
+
+let test_compact_rules_match_oracle () =
+  let latched = Hashtbl.create 4 and clean = Hashtbl.create 4 in
+  let tally tbl name =
+    Hashtbl.replace tbl name
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name))
+  in
+  let pp_latch = function
+    | None -> "never"
+    | Some (i, r) -> Printf.sprintf "event %d: %s" i r
+  in
+  let prop events =
+    List.for_all
+      (fun (name, compact, oracle) ->
+        let got = first_latch (compact ()) events
+        and want = first_latch (oracle ()) events in
+        tally (if want = None then clean else latched) name;
+        if got = want then true
+        else
+          QCheck.Test.fail_reportf "%s: compact latched %s, oracle %s" name
+            (pp_latch got) (pp_latch want))
+      [
+        ( "unique-sequencing",
+          Obs.Monitor.unique_sequencing,
+          oracle_unique_sequencing );
+        ( "prefix-consistent",
+          Obs.Monitor.prefix_consistent,
+          oracle_prefix_consistent );
+      ]
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:1000 ~name:"compact = oracle"
+       (QCheck.make
+          ~print:(fun es -> Printf.sprintf "%d events" (List.length es))
+          gen_stream)
+       prop);
+  (* not vacuous: each rule both latched and stayed clean on many
+     streams *)
+  List.iter
+    (fun name ->
+      let n tbl = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d latched, %d clean" name (n latched) (n clean))
+        true
+        (n latched >= 100 && n clean >= 100))
+    [ "unique-sequencing"; "prefix-consistent" ]
+
 let () =
   Alcotest.run "monitor-audit"
     [
@@ -236,5 +453,10 @@ let () =
           Alcotest.test_case "corpus-replay" `Quick test_corpus_audit;
           Alcotest.test_case "latches-online" `Quick
             test_no_dedup_latches_mid_stream;
+        ] );
+      ( "compact-state",
+        [
+          Alcotest.test_case "latches as the table-based rules" `Quick
+            test_compact_rules_match_oracle;
         ] );
     ]

@@ -383,6 +383,46 @@ let test_metrics_stress () =
         s.Stats.mean
   | Some None | None -> Alcotest.fail "histogram missing"
 
+(* Histogram shards hold unboxed floats: one snapshot summary equals
+   [Stats.summarize] over the samples in observation order (same n,
+   mean, percentiles — bit for bit), the recorder costs under 2 words a
+   sample (a cons cell plus a boxed float cost 5), and samples observed
+   from 4 domains at once summarize like the same multiset. *)
+let test_metrics_series_unboxed () =
+  let m = M.create () in
+  let rng = Random.State.make [| 7 |] in
+  let n = 100_000 in
+  let xs = List.init n (fun _ -> Random.State.float rng 1000.) in
+  List.iter (M.observe m "lat") xs;
+  (match List.assoc_opt "lat" (M.snapshot m).M.histograms with
+  | Some (Some s) ->
+      Alcotest.(check bool) "summary identical to the sample list's" true
+        (Stats.summarize_opt xs = Some s)
+  | _ -> Alcotest.fail "histogram missing");
+  let words = Obj.reachable_words (Obj.repr m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d samples: < 2 a sample" words n)
+    true
+    (words < 2 * n);
+  let m = M.create () in
+  spawn_each (fun d ->
+      for i = 0 to stress_events - 1 do
+        M.observe m "mixed" (float_of_int ((i * stress_domains) + d))
+      done);
+  let all =
+    List.init (stress_domains * stress_events) (fun i -> float_of_int i)
+  in
+  match
+    (List.assoc_opt "mixed" (M.snapshot m).M.histograms, Stats.summarize_opt all)
+  with
+  | Some (Some s), Some want ->
+      Alcotest.(check int) "n" want.Stats.n s.Stats.n;
+      Alcotest.(check (list (float 0.)))
+        "mean, min, max, p50, p90, p99"
+        Stats.[ want.mean; want.min; want.max; want.p50; want.p90; want.p99 ]
+        Stats.[ s.mean; s.min; s.max; s.p50; s.p90; s.p99 ]
+  | _ -> Alcotest.fail "histogram missing"
+
 (* ------------------------------------------------------------------ *)
 (* Online monitors                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -732,6 +772,8 @@ let () =
             test_sink_stress_jsonl;
           Alcotest.test_case "4 domains x 10k bumps into one registry" `Quick
             test_metrics_stress;
+          Alcotest.test_case "unboxed series, identical summaries" `Quick
+            test_metrics_series_unboxed;
         ] );
       ( "monitor",
         [

@@ -332,6 +332,43 @@ let test_no_dedup_defect_caught () =
       Alcotest.fail
         "broken dedup watermark escaped the exhaustive refinement check"
 
+(* [delivered_prefix] walks [rcv_buf] once from (g, 1); the reference
+   definition looks up each position 1 .. next_deliver - 1.  Random
+   buffers with gaps, other views' entries and positions outside the
+   delivered range, plus random next_deliver marks, must agree. *)
+let prop_delivered_prefix =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 60)
+           (triple (int_range 0 3) (int_range (-2) 30) (int_range 0 2)))
+        (pair (list_size (int_bound 4) (pair (int_range 0 3) (int_range 1 35)))
+           (int_range 0 4)))
+  in
+  QCheck.Test.make ~count:500 ~name:"delivered_prefix = per-position lookups"
+    (QCheck.make gen) (fun (entries, (marks, g)) ->
+      let st = E.initial ~p0 0 in
+      let st =
+        {
+          st with
+          E.rcv_buf =
+            List.fold_left
+              (fun m (g, sn, o) ->
+                Pg_map.add (g, sn) (Printf.sprintf "m%d.%d" g sn, o) m)
+              Pg_map.empty entries;
+          next_deliver =
+            List.fold_left
+              (fun m (g, n) -> Gid.Map.add g n m)
+              Gid.Map.empty marks;
+        }
+      in
+      let upto = E.next_deliver_of st g - 1 in
+      let reference =
+        List.init upto (fun i -> Pg_map.find_opt (g, i + 1) st.E.rcv_buf)
+        |> List.filter_map Fun.id
+      in
+      E.delivered_prefix st g = reference)
+
 let () =
   Alcotest.run "vs-impl"
     [
@@ -347,6 +384,7 @@ let () =
           Alcotest.test_case "per-view delivery prefix" `Quick test_random_delivery_prefix;
           Alcotest.test_case "classical guarantees on the engine" `Quick
             test_classical_guarantees_on_engine;
+          QCheck_alcotest.to_alcotest prop_delivered_prefix;
         ] );
       ( "faults",
         [
