@@ -5,7 +5,8 @@
    transport through Live.Hub, drives open-loop client load through
    calm/storm fault phases, optionally SIGKILLs and respawns an
    endpoint mid-run, and exits nonzero on any online monitor violation,
-   liveness stall, snapshot divergence, or missed delivery target.
+   trace line the collector could not parse, liveness stall, snapshot
+   divergence, or missed delivery target.
 
    Writes soak.* metrics (throughput, latency histogram, availability
    samples) as a bench snapshot (--out BENCH_E20.json) whose
@@ -407,6 +408,13 @@ let () =
     fail := true;
     Printf.printf "soak: FAIL delivery target %d not reached (%d)\n%!"
       !deliveries delivered
+  end;
+  (* a line the collector rejected is an event no monitor saw *)
+  let rejected = Obs.Metrics.count metrics "soak.trace_parse_errors" in
+  if rejected > 0 then begin
+    fail := true;
+    Printf.printf "soak: FAIL %d trace lines the collector could not parse\n%!"
+      rejected
   end;
   if !fail then exit 1;
   Printf.printf "soak: OK\n%!"

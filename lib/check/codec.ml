@@ -91,14 +91,15 @@ let r_u8 r =
   r.pos <- r.pos + 1;
   c
 
-let r_uvarint r =
-  let rec go acc shift =
-    if shift > 56 then malformed "varint overflow";
-    let b = r_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  go 0 0
+(* Top level rather than local to [r_uvarint], so a read allocates no
+   closure. *)
+let rec r_uvarint_from r acc shift =
+  if shift > 56 then malformed "varint overflow";
+  let b = r_u8 r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else r_uvarint_from r acc (shift + 7)
+
+let r_uvarint r = r_uvarint_from r 0 0
 
 (* A collection's elements each occupy at least one byte, so a cardinal
    larger than the remaining input is corrupt; rejecting it here keeps
@@ -212,12 +213,14 @@ let list c =
         write_all w xs);
     rd =
       (fun r ->
-        let n = r_card r in
-        let acc = ref [] in
-        for _ = 1 to n do
-          acc := c.rd r :: !acc
-        done;
-        List.rev !acc);
+        let rec read_n n =
+          if n = 0 then []
+          else
+            let x = c.rd r in
+            x :: read_n (n - 1)
+        [@@tail_mod_cons]
+        in
+        read_n (r_card r));
   }
 
 let option c =
@@ -577,25 +580,44 @@ let frame_digest frame ~seg_pos ~seg_len ~body_pos ~body_len =
   Fingerprint.feed_bytes c frame ~pos:body_pos ~len:body_len;
   Fingerprint.finish c
 
+let rec uvarint_size n =
+  if n land lnot 0x7f = 0 then 1 else 1 + uvarint_size (n lsr 7)
+
+(* The body goes to a buffer kept per domain between calls (a field
+   writer that encodes re-entrantly gets a fresh one), so a frame costs
+   one allocation, of exactly its size, not a doubling series. *)
+let body_buffer = Domain.DLS.new_key (fun () -> ref (Some (wb_create 256)))
+
 let encode t s =
-  let w = wb_create 256 in
+  let slot = Domain.DLS.get body_buffer in
+  let body = match !slot with Some b -> b | None -> wb_create 256 in
+  slot := None;
+  body.len <- 0;
+  (try t.c_f.wr body s
+   with e ->
+     slot := Some body;
+     raise e);
+  let id_len = String.length t.c_id in
+  let size =
+    1 + uvarint_size id_len + id_len + uvarint_size t.c_version
+    + uvarint_size body.len + body.len + digest_bytes
+  in
+  let w = { b = Bytes.create size; len = 0; memo_on = false; caches = [||] } in
   w_u8 w magic;
   let seg_pos = w.len in
   w_string w t.c_id;
   w_uvarint w t.c_version;
   let seg_len = w.len - seg_pos in
-  let body = wb_create 256 in
-  t.c_f.wr body s;
   w_uvarint w body.len;
   let body_pos = w.len in
-  reserve w (body.len + digest_bytes);
   Bytes.blit body.b 0 w.b w.len body.len;
   w.len <- w.len + body.len;
+  slot := Some body;
   let d = frame_digest w.b ~seg_pos ~seg_len ~body_pos ~body_len:body.len in
   Bytes.set_int64_be w.b w.len d.Fingerprint.hi;
   Bytes.set_int64_be w.b (w.len + 8) d.Fingerprint.lo;
-  w.len <- w.len + digest_bytes;
-  Bytes.sub w.b 0 w.len
+  assert (w.len + digest_bytes = size);
+  w.b
 
 let decode t frame =
   try

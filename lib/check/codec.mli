@@ -139,7 +139,9 @@ val with_version : int -> 's t -> 's t
     one are rejected by the other. *)
 
 val encode : 's t -> 's -> bytes
-(** Full frame: [magic · id · version · body-length · body · checksum]. *)
+(** Full frame: [magic · id · version · body-length · body · checksum].
+    Allocates only the frame: the body is written to a buffer each domain
+    keeps between calls. *)
 
 val decode : 's t -> bytes -> ('s, string) result
 (** Inverse of {!encode}.  Checks, in order: magic, id, version (so a

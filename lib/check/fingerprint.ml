@@ -118,10 +118,16 @@ let feed_bytes c b ~pos ~len =
       c.pfill <- 0
     end
   end;
+  (* lanes in locals for the bulk, as in [of_bytes]: unboxed *)
+  let h1 = ref c.h1 and h2 = ref c.h2 in
   while !i + 8 <= stop do
-    mix_word c (Bytes.get_int64_le b !i);
+    let w = Bytes.get_int64_le b !i in
+    h1 := mix1 !h1 w;
+    h2 := mix2 !h2 w;
     i := !i + 8
   done;
+  c.h1 <- !h1;
+  c.h2 <- !h2;
   while !i < stop do
     Bytes.unsafe_set c.pending c.pfill (Bytes.unsafe_get b !i);
     c.pfill <- c.pfill + 1;

@@ -79,34 +79,32 @@ let flush t =
   in
   go ()
 
-let recv t =
-  if not t.alive then []
-  else begin
-    let frames = ref [] in
-    let drain_frames () =
-      let rec go () =
-        match Wire.Reader.next t.reader with
-        | Ok (Some f) ->
-            frames := f :: !frames;
-            go ()
-        | Ok None -> ()
-        | Error e -> die t ("framing: " ^ e)
-      in
-      go ()
-    in
-    let rec read_all () =
+(* Frames go to [f] as each read's bytes decode, so none outlives its
+   handling: a storm poll reads thousands, and a list of them would be
+   promoted to the major heap.  Stops as soon as the connection dies,
+   [f] closing it included. *)
+let recv t f =
+  let rec frames () =
+    if t.alive then
+      match Wire.Reader.next t.reader with
+      | Ok (Some frame) ->
+          f frame;
+          frames ()
+      | Ok None -> ()
+      | Error e -> die t ("framing: " ^ e)
+  in
+  let rec read_all () =
+    if t.alive then
       match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
       | 0 -> die t "eof"
       | n ->
           Wire.Reader.feed t.reader t.scratch 0 n;
-          drain_frames ();
-          if t.alive then read_all ()
+          frames ();
+          read_all ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
       | exception Unix.Unix_error (e, _, _) -> die t (Unix.error_message e)
-    in
-    read_all ();
-    List.rev !frames
-  end
+  in
+  read_all ()
 
 let close t =
   die t "closed";

@@ -8,7 +8,7 @@
     hands that run to the kernel in one [write] per 64 KiB, so an event
     loop that sends many frames and flushes once per turn pays one
     system call per turn, not one per frame.  {!recv} drains whatever is
-    readable and returns the complete frames it reassembled.  A peer
+    readable and hands each frame to a callback as it decodes.  A peer
     death — EOF, [EPIPE]/[ECONNRESET], or a corrupt stream — marks the
     connection dead ({!alive} false, {!error} says why); all later
     operations are no-ops, so callers detect disconnection at their
@@ -39,10 +39,14 @@ val pending_out : t -> int
     kernel pushes back. *)
 val flush : t -> unit
 
-(** Read until [EAGAIN] (or EOF / error) and return the complete frames
-    received, in order.  Frames already reassembled are returned even on
-    the read that detects death. *)
-val recv : t -> Wire.frame list
+(** [recv t f] reads until [EAGAIN] (or EOF / error) and hands each
+    complete frame to [f], in order, as soon as its bytes are read: no
+    frame is kept once [f] returns (a list of one poll's frames — thousands
+    in a storm — was promoted to the major heap).  Frames decoded before
+    the read that detects death are still handed over.  [f] may {!send}
+    on [t]; if [f] closes [t], [recv] stops.  [f] must not call [recv]
+    on [t]. *)
+val recv : t -> (Wire.frame -> unit) -> unit
 
 (** Close the descriptor (idempotent); marks the connection dead. *)
 val close : t -> unit

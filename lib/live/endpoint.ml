@@ -129,18 +129,13 @@ let serve ?trace_oc ~me ~retransmit_s fd =
     | rd, w, _ ->
         if w <> [] then flush_out ();
         if rd <> [] then begin
-          let frames = Conn.recv conn in
-          List.iter
-            (fun frame ->
-              match frame with
-              | Wire.View_note v -> st := E.on_newview !st v
-              | Wire.Pkt { src; pkt; _ } ->
-                  st := E.on_packet ~sink !st ~src pkt
-              | Wire.Client m -> st := E.on_gpsnd !st m
-              | Wire.Snapshot_req -> Conn.send conn (snapshot_of !st)
-              | Wire.Shutdown -> running := false
-              | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot _ -> ())
-            frames;
+          Conn.recv conn (function
+            | Wire.View_note v -> st := E.on_newview !st v
+            | Wire.Pkt { src; pkt; _ } -> st := E.on_packet ~sink !st ~src pkt
+            | Wire.Client m -> st := E.on_gpsnd !st m
+            | Wire.Snapshot_req -> Conn.send conn (snapshot_of !st)
+            | Wire.Shutdown -> running := false
+            | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot _ -> ());
           drain ()
         end
     | exception Unix.Unix_error (EINTR, _, _) -> ());

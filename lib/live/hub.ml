@@ -98,15 +98,8 @@ let write_merged t line =
       output_string oc line;
       output_char oc '\n'
 
-let p_str key (e : Obs.Trace.event) =
-  match List.assoc_opt key e.Obs.Trace.payload with
-  | Some (Obs.Trace.Str s) -> Some s
-  | _ -> None
-
-let p_int key (e : Obs.Trace.event) =
-  match List.assoc_opt key e.Obs.Trace.payload with
-  | Some (Obs.Trace.Int n) -> Some n
-  | _ -> None
+let p_str = Obs.Trace.payload_str
+let p_int = Obs.Trace.payload_int
 
 let feed_monitor t e =
   let fresh = Obs.Monitor.feed t.monitor e in
@@ -283,7 +276,7 @@ let on_frame t src frame =
   | Wire.Shutdown ->
       ()
 
-let register t conn p rest =
+let register t conn p =
   (* a reconnecting endpoint replaces its dead predecessor *)
   (match List.assoc_opt p t.conns with
   | Some old -> Conn.close old
@@ -291,19 +284,22 @@ let register t conn p rest =
   t.conns <- (p, conn) :: List.remove_assoc p t.conns;
   t.member_view <- Proc.Map.remove p t.member_view;
   Obs.Metrics.incr t.metrics "soak.connects";
-  reissue t;
-  List.iter (on_frame t p) rest
+  reissue t
 
+(* The first frame must be a Hello; frames decoded after it in the same
+   read go to [on_frame] as the registered endpoint's. *)
 let process_anon t conn =
-  match Conn.recv conn with
-  | [] -> ()
-  | Wire.Hello { proc } :: rest ->
-      t.anon <- List.filter (fun c -> c != conn) t.anon;
-      register t conn proc rest
-  | _ ->
-      (* first frame must be a Hello *)
-      t.anon <- List.filter (fun c -> c != conn) t.anon;
-      Conn.close conn
+  let owner = ref None in
+  Conn.recv conn (fun frame ->
+      match (!owner, frame) with
+      | Some p, _ -> on_frame t p frame
+      | None, Wire.Hello { proc } ->
+          owner := Some proc;
+          t.anon <- List.filter (fun c -> c != conn) t.anon;
+          register t conn proc
+      | None, _ ->
+          t.anon <- List.filter (fun c -> c != conn) t.anon;
+          Conn.close conn)
 
 let accept_loop t =
   let rec go () =
@@ -353,8 +349,7 @@ let poll t ~timeout =
         t.anon;
       List.iter
         (fun (p, conn) ->
-          if List.mem (Conn.fd conn) rd then
-            List.iter (on_frame t p) (Conn.recv conn))
+          if List.mem (Conn.fd conn) rd then Conn.recv conn (on_frame t p))
         t.conns;
       List.iter
         (fun (_, c) -> if List.mem (Conn.fd c) wr then Conn.flush c)

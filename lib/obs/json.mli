@@ -19,6 +19,21 @@ type t =
 
 val to_string : t -> string
 
+(** {2 Rendering into a buffer}
+
+    The pieces {!to_string} is made of, for callers that render a known
+    shape straight into their own buffer without building a {!t}: each
+    appends exactly the bytes {!to_string} writes for the same value. *)
+
+(** A string literal: quoted, with ['"'], ['\\'] and control characters
+    escaped. *)
+val add_string : Buffer.t -> string -> unit
+
+val add_int : Buffer.t -> int -> unit
+
+(** A float that parses back as {!Float}; [null] if not finite. *)
+val add_float : Buffer.t -> float -> unit
+
 (** Parse one JSON value (surrounding whitespace allowed).  Returns
     [Error msg] on malformed input or trailing garbage. *)
 val of_string : string -> (t, string) result
@@ -27,6 +42,3 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 
 val equal : t -> t -> bool
-
-(** Escape a string for inclusion in a JSON document (no quotes added). *)
-val escape : string -> string

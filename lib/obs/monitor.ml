@@ -88,15 +88,8 @@ let sink ?out t =
 (* Built-in rules over the vs.engine / check.explorer event vocabulary *)
 (* ------------------------------------------------------------------ *)
 
-let p_int key (e : Trace.event) =
-  match List.assoc_opt key e.Trace.payload with
-  | Some (Trace.Int n) -> Some n
-  | _ -> None
-
-let p_str key (e : Trace.event) =
-  match List.assoc_opt key e.Trace.payload with
-  | Some (Trace.Str s) -> Some s
-  | _ -> None
+let p_int = Trace.payload_int
+let p_str = Trace.payload_str
 
 (* Registry invariant "unique sequencing": a sequencer assigns each
    accepted forward exactly one position — (receiver, gid, src, fsn)
@@ -148,15 +141,23 @@ let unique_sequencing () =
    with no gap or repeat — the online shadow of the spec's
    next-to-deliver index discipline. *)
 let contiguous_delivery () =
-  let last : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let last : (string * string, int ref) Hashtbl.t = Hashtbl.create 64 in
   rule ~name:"contiguous-delivery" (fun e ->
       if String.equal e.Trace.cls "deliver" then
         match (p_str "p" e, p_str "gid" e, p_int "sn" e) with
         | Some p, Some gid, Some sn ->
-            let k = p ^ "|" ^ gid in
-            let prev = Option.value ~default:0 (Hashtbl.find_opt last k) in
+            let k = (p, gid) in
+            let r =
+              match Hashtbl.find_opt last k with
+              | Some r -> r
+              | None ->
+                  let r = ref 0 in
+                  Hashtbl.add last k r;
+                  r
+            in
+            let prev = !r in
             if sn = prev + 1 then begin
-              Hashtbl.replace last k sn;
+              r := sn;
               None
             end
             else

@@ -114,96 +114,161 @@ let null () = make ignore
 let callback f = make f
 
 (* ------------------------------------------------------------------ *)
+(* Payload access                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The first binding of [key] decides, as with [List.assoc_opt]. *)
+let rec str_in key = function
+  | [] -> None
+  | (k, v) :: rest ->
+      if String.equal k key then match v with Str s -> Some s | _ -> None
+      else str_in key rest
+
+let rec int_in key = function
+  | [] -> None
+  | (k, v) :: rest ->
+      if String.equal k key then match v with Int n -> Some n | _ -> None
+      else int_in key rest
+
+let payload_str key e = str_in key e.payload
+let payload_int key e = int_in key e.payload
+
+(* ------------------------------------------------------------------ *)
 (* JSONL codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let value_json = function
-  | Str s -> Json.Str s
-  | Int n -> Json.Int n
-  | Float f -> Json.Float f
-  | Bool b -> Json.Bool b
+(* The event object rendered field by field, byte-for-byte what
+   [Json.to_string] writes for the equivalent [Json.Obj]. *)
+let add_event buf e =
+  Buffer.add_string buf "{\"seq\":";
+  Json.add_int buf e.seq;
+  Buffer.add_string buf ",\"kind\":\"";
+  Buffer.add_string buf (kind_str e.kind);
+  Buffer.add_string buf "\",\"component\":";
+  Json.add_string buf e.component;
+  Buffer.add_string buf ",\"class\":";
+  Json.add_string buf e.cls;
+  Buffer.add_string buf ",\"span\":";
+  (match e.span with
+  | None -> Buffer.add_string buf "null"
+  | Some s -> Json.add_int buf s);
+  Buffer.add_string buf ",\"payload\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.add_string buf k;
+      Buffer.add_char buf ':';
+      match v with
+      | Str s -> Json.add_string buf s
+      | Int n -> Json.add_int buf n
+      | Float f -> Json.add_float buf f
+      | Bool b -> Buffer.add_string buf (if b then "true" else "false"))
+    e.payload;
+  Buffer.add_string buf "}}"
 
-let event_json e =
-  Json.Obj
-    [
-      ("seq", Json.Int e.seq);
-      ("kind", Json.Str (kind_str e.kind));
-      ("component", Json.Str e.component);
-      ("class", Json.Str e.cls);
-      ("span", match e.span with None -> Json.Null | Some s -> Json.Int s);
-      ("payload", Json.Obj (List.map (fun (k, v) -> (k, value_json v)) e.payload));
-    ]
+(* One render buffer per domain: [add_event] calls no user code, so it
+   is never re-entered on the same domain. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
 
-let event_to_string e = Json.to_string (event_json e)
+let event_to_string e =
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
+  add_event buf e;
+  Buffer.contents buf
 
 (* Crash-safe: the whole line (terminator included) is assembled first
    and handed to the channel as one write, then flushed, so the channel
    buffer is empty between events and a killed writer tears at most the
    line in flight — every preceding line is a complete event
-   ([read_jsonl_prefix] recovers the prefix). *)
+   ([read_jsonl_prefix] recovers the prefix).  The buffer is the sink's
+   own: writes run under the sink mutex. *)
 let to_channel oc =
+  let buf = Buffer.create 256 in
   make (fun e ->
-      output_string oc (event_to_string e ^ "\n");
+      Buffer.clear buf;
+      add_event buf e;
+      Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf;
       flush oc)
 
 let ( let* ) r f = Result.bind r f
 
-let value_of_json = function
-  | Json.Str s -> Ok (Str s)
-  | Json.Int n -> Ok (Int n)
-  | Json.Float f -> Ok (Float f)
-  | Json.Bool b -> Ok (Bool b)
-  | _ -> Error "payload values must be scalars"
+exception Bad of string
 
+let value_of_json = function
+  | Json.Str s -> Str s
+  | Json.Int n -> Int n
+  | Json.Float f -> Float f
+  | Json.Bool b -> Bool b
+  | _ -> raise (Bad "payload values must be scalars")
+
+(* One pass over the object's fields.  The first binding of each name
+   decides, as with [Json.member]; later duplicates are ignored. *)
 let event_of_json j =
-  let field name =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* seq =
-    match field "seq" with
-    | Ok (Json.Int n) -> Ok n
-    | Ok _ -> Error "seq must be an integer"
-    | Error e -> Error e
-  in
-  let* kind =
-    match field "kind" with
-    | Ok (Json.Str "span_open") -> Ok Span_open
-    | Ok (Json.Str "span_close") -> Ok Span_close
-    | Ok (Json.Str "point") -> Ok Point
-    | Ok _ -> Error "unknown kind"
-    | Error e -> Error e
-  in
-  let str name =
-    match field name with
-    | Ok (Json.Str s) -> Ok s
-    | Ok _ -> Error (Printf.sprintf "%s must be a string" name)
-    | Error e -> Error e
-  in
-  let* component = str "component" in
-  let* cls = str "class" in
-  let* span =
-    match field "span" with
-    | Ok Json.Null -> Ok None
-    | Ok (Json.Int n) -> Ok (Some n)
-    | Ok _ -> Error "span must be null or an integer"
-    | Error e -> Error e
-  in
-  let* payload =
-    match field "payload" with
-    | Ok (Json.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            let* v = value_of_json v in
-            Ok ((k, v) :: acc))
-          (Ok []) fields
-        |> Result.map List.rev
-    | Ok _ -> Error "payload must be an object"
-    | Error e -> Error e
-  in
-  Ok { seq; kind; component; cls; span; payload }
+  let missing name = Error (Printf.sprintf "missing field %S" name) in
+  match j with
+  | Json.Obj fields -> (
+      let seq = ref None and kind = ref None and component = ref None in
+      let cls = ref None and span = ref None and payload = ref None in
+      let str name = function
+        | Json.Str s -> s
+        | _ -> raise (Bad (Printf.sprintf "%s must be a string" name))
+      in
+      match
+        List.iter
+          (fun (k, v) ->
+            match k with
+            | "seq" when Option.is_none !seq ->
+                seq :=
+                  Some
+                    (match v with
+                    | Json.Int n -> n
+                    | _ -> raise (Bad "seq must be an integer"))
+            | "kind" when Option.is_none !kind ->
+                kind :=
+                  Some
+                    (match v with
+                    | Json.Str "span_open" -> Span_open
+                    | Json.Str "span_close" -> Span_close
+                    | Json.Str "point" -> Point
+                    | _ -> raise (Bad "unknown kind"))
+            | "component" when Option.is_none !component ->
+                component := Some (str k v)
+            | "class" when Option.is_none !cls -> cls := Some (str k v)
+            | "span" when Option.is_none !span ->
+                span :=
+                  Some
+                    (match v with
+                    | Json.Null -> None
+                    | Json.Int n -> Some n
+                    | _ -> raise (Bad "span must be null or an integer"))
+            | "payload" when Option.is_none !payload ->
+                payload :=
+                  Some
+                    (match v with
+                    | Json.Obj fs ->
+                        List.map (fun (k, v) -> (k, value_of_json v)) fs
+                    | _ -> raise (Bad "payload must be an object"))
+            | _ -> ())
+          fields
+      with
+      | exception Bad msg -> Error msg
+      | () -> (
+          match (!seq, !kind, !component, !cls, !span, !payload) with
+          | ( Some seq,
+              Some kind,
+              Some component,
+              Some cls,
+              Some span,
+              Some payload ) ->
+              Ok { seq; kind; component; cls; span; payload }
+          | None, _, _, _, _, _ -> missing "seq"
+          | _, None, _, _, _, _ -> missing "kind"
+          | _, _, None, _, _, _ -> missing "component"
+          | _, _, _, None, _, _ -> missing "class"
+          | _, _, _, _, None, _ -> missing "span"
+          | _ -> missing "payload"))
+  | _ -> missing "seq"
 
 let event_of_string line =
   let* j = Json.of_string line in

@@ -87,9 +87,23 @@ val null : unit -> sink
     Building block for stream consumers such as {!Monitor}. *)
 val callback : (event -> unit) -> sink
 
-(** {2 JSONL codec} *)
+(** {2 Payload access} *)
 
-val event_json : event -> Json.t
+(** [payload_str key e]: the value of the first binding of [key] in
+    [e.payload], if it is a {!Str} ([None] if absent or of another
+    type). *)
+val payload_str : string -> event -> string option
+
+(** As {!payload_str}, for {!Int}. *)
+val payload_int : string -> event -> int option
+
+(** {2 JSONL codec}
+
+    [event_to_string] renders the object field by field and
+    [event_of_json] reads its fields in one pass.  They write the same
+    bytes, and accept the same inputs with the same result, as rendering
+    and reading through a {!Json.t} tree ([test_obs] keeps that tree
+    codec as the oracle). *)
 
 (** One line, no trailing newline. *)
 val event_to_string : event -> string

@@ -382,14 +382,16 @@ module Make (M : Msg_intf.S) = struct
   (* The delivered prefix of a view's total order, in delivery order —
      positions (g, 1 .. next_deliver-1) of [rcv_buf].  Everything
      delivered is necessarily buffered (delivery reads the buffer and
-     nothing evicts), so the walk is total over the prefix.  One ordered
-     walk from (g, 1): [rcv_buf] keys sort by gid, then sn.  Live
-     runtime snapshots compare these byte-for-byte across members. *)
+     nothing evicts), so the walk is total over the prefix.  [rcv_buf]
+     keys sort by gid, then sn, so two splits cut out exactly the keys
+     (g, 1 .. upto), and one fold lists them, with no [Seq] node per
+     entry.  Live runtime snapshots compare these byte-for-byte across
+     members. *)
   let delivered_prefix st g =
     let upto = next_deliver_of st g - 1 in
-    Pg_map.to_seq_from (g, 1) st.rcv_buf
-    |> Seq.take_while (fun ((g', sn), _) -> Gid.equal g' g && sn <= upto)
-    |> Seq.map snd |> List.of_seq
+    let _, _, from_1 = Pg_map.split (g, 0) st.rcv_buf in
+    let prefix, _, _ = Pg_map.split (g, upto + 1) from_1 in
+    List.rev (Pg_map.fold (fun _ v acc -> v :: acc) prefix [])
 
   let safe_ready st =
     match st.cur with

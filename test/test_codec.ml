@@ -541,6 +541,70 @@ let scratch_image c scratch s =
   let buf, len = C.scratch_contents scratch in
   Bytes.sub_string buf 0 len
 
+(* The frame [encode] must write, rebuilt from the scratch preimage
+   [id · version · body]: magic, the preimage with the body-length
+   varint spliced in after the header, and the preimage's digest. *)
+let frame_of_preimage ~header_len preimage =
+  let body_len = String.length preimage - header_len in
+  let varint n =
+    let b = Buffer.create 4 in
+    let n = ref n in
+    while !n land lnot 0x7f <> 0 do
+      Buffer.add_char b (Char.chr (0x80 lor (!n land 0x7f)));
+      n := !n lsr 7
+    done;
+    Buffer.add_char b (Char.chr !n);
+    Buffer.contents b
+  in
+  let d = Check.Fingerprint.of_string preimage in
+  let digest = Bytes.create 16 in
+  Bytes.set_int64_be digest 0 d.Check.Fingerprint.hi;
+  Bytes.set_int64_be digest 8 d.Check.Fingerprint.lo;
+  String.concat ""
+    [
+      "\xc5";
+      String.sub preimage 0 header_len;
+      varint body_len;
+      String.sub preimage header_len body_len;
+      Bytes.to_string digest;
+    ]
+
+(* One-shot [encode] keeps its body buffer between calls: frames of
+   growing and shrinking size in a row, a writer that encodes another
+   frame while the buffer is in use, and a writer that raises mid-body
+   must all leave every frame byte-identical to the framed preimage. *)
+let one_shot_frames () =
+  let scratch = C.scratch () in
+  let check name c s =
+    let header = C.make ~id:(C.id c) ~version:(C.version c) C.unit in
+    let header_len = String.length (scratch_image header scratch ()) in
+    let want = frame_of_preimage ~header_len (scratch_image c scratch s) in
+    Alcotest.(check string) name want (Bytes.to_string (C.encode c s))
+  in
+  let big = C.make ~id:"big" ~version:300 C.(list (pair string int)) in
+  let prefix n = List.init n (fun i -> (Printf.sprintf "m%d" i, i - 7)) in
+  List.iter
+    (fun n -> check (Printf.sprintf "%d entries" n) big (prefix n))
+    [ 0; 1; 300; 100_000; 2; 40_000; 0 ];
+  let inner = C.make ~id:"inner" ~version:1 C.(list int) in
+  let nested =
+    C.make ~id:"nested" ~version:1
+      C.(
+        list
+          (via
+             ~to_:(fun xs -> Bytes.to_string (C.encode inner xs))
+             ~of_:(fun _ -> [])
+             string))
+  in
+  check "encode inside a writer" nested
+    [ List.init 500 Fun.id; []; List.init 3 Fun.id ];
+  let bytes = C.make ~id:"bytes" ~version:1 C.(list byte) in
+  (match C.encode bytes (List.init 1000 (fun i -> i mod 256) @ [ 300 ]) with
+  | _ -> Alcotest.fail "an out-of-range byte encoded"
+  | exception Invalid_argument _ -> ());
+  check "after a raising writer" bytes (List.init 1000 (fun i -> i mod 256));
+  check "and a large frame again" big (prefix 50_000)
+
 (* The explorer's access pattern: every observed state, then each of its
    successors, so the successors' components are physically shared with
    the state just written. *)
@@ -716,6 +780,8 @@ let () =
           Alcotest.test_case "every single-byte mutation rejected" `Quick
             mutation_all;
           Alcotest.test_case "trailing garbage rejected" `Quick trailing_all;
+          Alcotest.test_case "one-shot frames = framed scratch preimage" `Quick
+            one_shot_frames;
         ] );
       ( "seeded-defect",
         [

@@ -298,6 +298,10 @@ let test_ring_torture () =
 (* Conn over a socketpair                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The frames a [Live.Conn.recv] hands over, appended to [got] (newest
+   first). *)
+let collect got conn = Live.Conn.recv conn (fun f -> got := f :: !got)
+
 let test_conn_socketpair () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
@@ -315,14 +319,37 @@ let test_conn_socketpair () =
   do
     Live.Conn.flush ca;
     (match Unix.select [ Live.Conn.fd cb ] [] [] 0.05 with
-    | rd, _, _ -> if rd <> [] then got := !got @ Live.Conn.recv cb
+    | rd, _, _ -> if rd <> [] then collect got cb
     | exception Unix.Unix_error (EINTR, _, _) -> ())
   done;
-  Alcotest.(check (list frame)) "all frames crossed the socket" outgoing !got;
+  Alcotest.(check (list frame))
+    "all frames crossed the socket" outgoing (List.rev !got);
   (* EOF detection *)
   Live.Conn.close ca;
-  let _ = Live.Conn.recv cb in
+  collect got cb;
   Alcotest.(check bool) "peer death detected" false (Live.Conn.alive cb);
+  Live.Conn.close cb
+
+(* EOF in mid-batch: a batch of whole frames, then half a frame, then
+   the peer closes.  One [recv] hands over every whole frame, drops the
+   torn one and reports the death. *)
+let test_conn_eof_mid_batch () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  let cb = Live.Conn.create b in
+  let whole = Bytes.concat Bytes.empty (List.map W.to_wire sample_frames) in
+  let torn = W.to_wire (W.Client "cut short") in
+  let torn = Bytes.sub torn 0 (Bytes.length torn / 2) in
+  let raw = Bytes.cat whole torn in
+  Alcotest.(check int) "the batch fits the kernel buffer" (Bytes.length raw)
+    (Unix.write a raw 0 (Bytes.length raw));
+  Unix.close a;
+  let got = ref [] in
+  collect got cb;
+  Alcotest.(check (list frame)) "every whole frame" sample_frames
+    (List.rev !got);
+  Alcotest.(check bool) "peer death detected" false (Live.Conn.alive cb);
+  Alcotest.(check (option string)) "at EOF" (Some "eof") (Live.Conn.error cb);
   Live.Conn.close cb
 
 (* Frames compare by their canonical codec images ([frame] compares
@@ -345,17 +372,8 @@ let mixed_frame i =
   | 3 -> W.Pkt { src = 0; dst = 2; pkt = P.Ack { gid = Gid.g0; upto = i } }
   | _ -> List.nth sample_frames (i mod List.length sample_frames)
 
-(* The coalesced output buffer under a tiny kernel buffer: thousands of
-   mixed frames and a multi-MB snapshot, sent in random batches with a
-   flush and a read between batches, so writes stop short mid-frame
-   over and over.  Every frame arrives, whole and in order, and the
-   buffer drains to 0. *)
-let test_conn_coalesced_small_sndbuf () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
-  Unix.setsockopt_int a SO_SNDBUF 4096;
-  Unix.setsockopt_int b SO_RCVBUF 4096;
-  let ca = Live.Conn.create a and cb = Live.Conn.create b in
+(* A 2.4 MB delivery snapshot: one frame many times the kernel buffer. *)
+let big_snapshot () =
   let snapshot =
     W.Snapshot
       {
@@ -369,6 +387,20 @@ let test_conn_coalesced_small_sndbuf () =
   in
   Alcotest.(check bool) "the snapshot frame is multi-MB" true
     (Bytes.length (W.to_wire snapshot) > 2_000_000);
+  snapshot
+
+(* The coalesced output buffer under a tiny kernel buffer: thousands of
+   mixed frames and a multi-MB snapshot, sent in random batches with a
+   flush and a read between batches, so writes stop short mid-frame
+   over and over.  Every frame arrives, whole and in order, and the
+   buffer drains to 0. *)
+let test_conn_coalesced_small_sndbuf () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Unix.setsockopt_int a SO_SNDBUF 4096;
+  Unix.setsockopt_int b SO_RCVBUF 4096;
+  let ca = Live.Conn.create a and cb = Live.Conn.create b in
+  let snapshot = big_snapshot () in
   let n = 5000 in
   let outgoing =
     List.init n (fun i -> if i = n / 2 then snapshot else mixed_frame i)
@@ -377,8 +409,7 @@ let test_conn_coalesced_small_sndbuf () =
   let got = ref [] in
   let receive timeout =
     match Unix.select [ Live.Conn.fd cb ] [] [] timeout with
-    | rd, _, _ ->
-        if rd <> [] then got := List.rev_append (Live.Conn.recv cb) !got
+    | rd, _, _ -> if rd <> [] then collect got cb
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   in
   let rec send_batches = function
@@ -405,6 +436,53 @@ let test_conn_coalesced_small_sndbuf () =
     (Live.Conn.alive ca && Live.Conn.alive cb);
   Alcotest.(check int) "every frame arrived" n (List.length !got);
   Alcotest.(check bool) "whole and in order" true
+    (same_frames outgoing (List.rev !got));
+  Live.Conn.close ca;
+  Live.Conn.close cb
+
+(* A callback that sends on the connection it is reading: [cb] echoes
+   every frame back from inside its own [recv], with 4 KiB kernel
+   buffers both ways and the multi-MB snapshot among the frames, so
+   echoes pile up in [cb]'s output buffer mid-read.  They arrive whole
+   and in order, and both output buffers drain. *)
+let test_conn_send_from_recv () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  List.iter
+    (fun fd ->
+      Unix.setsockopt_int fd SO_SNDBUF 4096;
+      Unix.setsockopt_int fd SO_RCVBUF 4096)
+    [ a; b ];
+  let ca = Live.Conn.create a and cb = Live.Conn.create b in
+  let n = 2000 in
+  let outgoing =
+    List.init n (fun i -> if i = n / 2 then big_snapshot () else mixed_frame i)
+  in
+  List.iter (Live.Conn.send ca) outgoing;
+  let echoed = ref 0 and got = ref [] and n_got = ref 0 in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while
+    (!n_got < n || Live.Conn.pending_out ca > 0 || Live.Conn.pending_out cb > 0)
+    && Unix.gettimeofday () < deadline
+  do
+    Live.Conn.flush ca;
+    Live.Conn.recv cb (fun f ->
+        incr echoed;
+        Live.Conn.send cb f);
+    Live.Conn.flush cb;
+    Live.Conn.recv ca (fun f ->
+        incr n_got;
+        got := f :: !got);
+    match Unix.select [ a; b ] [] [] 0.001 with
+    | _ -> ()
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done;
+  Alcotest.(check int) "every frame echoed" n !echoed;
+  Alcotest.(check int) "both output buffers drained" 0
+    (Live.Conn.pending_out ca + Live.Conn.pending_out cb);
+  Alcotest.(check bool) "both ends alive" true
+    (Live.Conn.alive ca && Live.Conn.alive cb);
+  Alcotest.(check bool) "echoes whole and in order" true
     (same_frames outgoing (List.rev !got));
   Live.Conn.close ca;
   Live.Conn.close cb
@@ -445,8 +523,7 @@ let test_conn_flush_syscalls () =
     while List.length !got < n && Unix.gettimeofday () < deadline do
       Live.Conn.flush ca;
       match Unix.select [ Live.Conn.fd cb ] [] [] 0.01 with
-      | rd, _, _ ->
-          if rd <> [] then got := List.rev_append (Live.Conn.recv cb) !got
+      | rd, _, _ -> if rd <> [] then collect got cb
       | exception Unix.Unix_error (EINTR, _, _) -> ()
     done;
     Alcotest.(check bool) "all frames arrived in order" true
@@ -560,6 +637,11 @@ let test_live_domains () =
         images)
     images;
   Alcotest.(check bool) "monitors clean" true (Live.Hub.ok hub);
+  let metrics = Live.Hub.metrics hub in
+  Alcotest.(check bool) "the collector saw trace events" true
+    (Obs.Metrics.count metrics "soak.trace_events" > 0);
+  Alcotest.(check int) "no trace line rejected" 0
+    (Obs.Metrics.count metrics "soak.trace_parse_errors");
   Live.Hub.shutdown hub;
   List.iter Domain.join doms
 
@@ -585,8 +667,11 @@ let () =
       ( "conn",
         [
           Alcotest.test_case "socketpair" `Quick test_conn_socketpair;
+          Alcotest.test_case "EOF in mid-batch" `Quick test_conn_eof_mid_batch;
           Alcotest.test_case "coalesced, small SO_SNDBUF" `Quick
             test_conn_coalesced_small_sndbuf;
+          Alcotest.test_case "send from the recv callback" `Quick
+            test_conn_send_from_recv;
           Alcotest.test_case "one flush, few writes" `Quick
             test_conn_flush_syscalls;
         ] );

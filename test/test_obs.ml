@@ -7,6 +7,340 @@ module M = Obs.Metrics
 module J = Obs.Json
 
 (* ------------------------------------------------------------------ *)
+(* The single-pass codec against the tree codec it replaced            *)
+(* ------------------------------------------------------------------ *)
+
+(* The tree codec as it stood before [Json] rendered escapes in place
+   and [Trace] rendered and read events without a [Json.t] tree: the
+   oracle.  The new code must write its bytes, and accept exactly what
+   it accepts, with the same value. *)
+module Oracle = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let float_repr f =
+    let s = Printf.sprintf "%.17g" f in
+    let s =
+      let shorter = Printf.sprintf "%.12g" f in
+      if float_of_string shorter = f then shorter else s
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+  let rec write buf = function
+    | J.Null -> Buffer.add_string buf "null"
+    | J.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | J.Int n -> Buffer.add_string buf (string_of_int n)
+    | J.Float f ->
+        if Float.is_finite f then Buffer.add_string buf (float_repr f)
+        else Buffer.add_string buf "null"
+    | J.Str s ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (escape s);
+        Buffer.add_char buf '"'
+    | J.List xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            write buf x)
+          xs;
+        Buffer.add_char buf ']'
+    | J.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (escape k);
+            Buffer.add_string buf "\":";
+            write buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let to_string j =
+    let buf = Buffer.create 256 in
+    write buf j;
+    Buffer.contents buf
+
+  exception Parse of string
+
+  let of_string s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Parse (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let skip_ws () =
+      while
+        !pos < n
+        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        advance ()
+      done
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected %C" c)
+    in
+    let literal word v =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        v
+      end
+      else fail (Printf.sprintf "expected %s" word)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then fail "unterminated string"
+        else begin
+          let c = s.[!pos] in
+          advance ();
+          match c with
+          | '"' -> Buffer.contents buf
+          | '\\' -> (
+              if !pos >= n then fail "unterminated escape"
+              else begin
+                let e = s.[!pos] in
+                advance ();
+                match e with
+                | '"' -> Buffer.add_char buf '"'; go ()
+                | '\\' -> Buffer.add_char buf '\\'; go ()
+                | '/' -> Buffer.add_char buf '/'; go ()
+                | 'n' -> Buffer.add_char buf '\n'; go ()
+                | 't' -> Buffer.add_char buf '\t'; go ()
+                | 'r' -> Buffer.add_char buf '\r'; go ()
+                | 'b' -> Buffer.add_char buf '\b'; go ()
+                | 'f' -> Buffer.add_char buf '\012'; go ()
+                | 'u' ->
+                    if !pos + 4 > n then fail "truncated \\u escape";
+                    let hex = String.sub s !pos 4 in
+                    pos := !pos + 4;
+                    let code =
+                      try int_of_string ("0x" ^ hex)
+                      with _ -> fail "bad \\u escape"
+                    in
+                    if code < 0x100 then Buffer.add_char buf (Char.chr code)
+                    else Buffer.add_char buf '?';
+                    go ()
+                | _ -> fail "unknown escape"
+              end)
+          | c -> Buffer.add_char buf c; go ()
+        end
+      in
+      go ()
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do
+        advance ()
+      done;
+      let lit = String.sub s start (!pos - start) in
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then
+        match float_of_string_opt lit with
+        | Some f -> J.Float f
+        | None -> fail "bad float literal"
+      else
+        match int_of_string_opt lit with
+        | Some i -> J.Int i
+        | None -> fail "bad int literal"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some '"' -> J.Str (parse_string ())
+      | Some 'n' -> literal "null" J.Null
+      | Some 't' -> literal "true" (J.Bool true)
+      | Some 'f' -> literal "false" (J.Bool false)
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            J.List []
+          end
+          else begin
+            let rec elems acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' -> advance (); elems (v :: acc)
+              | Some ']' -> advance (); List.rev (v :: acc)
+              | _ -> fail "expected ',' or ']'"
+            in
+            J.List (elems [])
+          end
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            J.Obj []
+          end
+          else begin
+            let field () =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              (k, v)
+            in
+            let rec fields acc =
+              let f = field () in
+              skip_ws ();
+              match peek () with
+              | Some ',' -> advance (); fields (f :: acc)
+              | Some '}' -> advance (); List.rev (f :: acc)
+              | _ -> fail "expected ',' or '}'"
+            in
+            J.Obj (fields [])
+          end
+      | Some _ -> parse_number ()
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos < n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Parse msg -> Error msg
+
+  let kind_str = function
+    | T.Span_open -> "span_open"
+    | T.Span_close -> "span_close"
+    | T.Point -> "point"
+
+  let value_json = function
+    | T.Str s -> J.Str s
+    | T.Int n -> J.Int n
+    | T.Float f -> J.Float f
+    | T.Bool b -> J.Bool b
+
+  let event_json (e : T.event) =
+    J.Obj
+      [
+        ("seq", J.Int e.seq);
+        ("kind", J.Str (kind_str e.kind));
+        ("component", J.Str e.component);
+        ("class", J.Str e.cls);
+        ("span", match e.span with None -> J.Null | Some s -> J.Int s);
+        ( "payload",
+          J.Obj (List.map (fun (k, v) -> (k, value_json v)) e.payload) );
+      ]
+
+  let event_to_string e = to_string (event_json e)
+
+  let ( let* ) r f = Result.bind r f
+
+  let value_of_json = function
+    | J.Str s -> Ok (T.Str s)
+    | J.Int n -> Ok (T.Int n)
+    | J.Float f -> Ok (T.Float f)
+    | J.Bool b -> Ok (T.Bool b)
+    | _ -> Error "payload values must be scalars"
+
+  let event_of_json j =
+    let field name =
+      match J.member name j with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "missing field %S" name)
+    in
+    let* seq =
+      match field "seq" with
+      | Ok (J.Int n) -> Ok n
+      | Ok _ -> Error "seq must be an integer"
+      | Error e -> Error e
+    in
+    let* kind =
+      match field "kind" with
+      | Ok (J.Str "span_open") -> Ok T.Span_open
+      | Ok (J.Str "span_close") -> Ok T.Span_close
+      | Ok (J.Str "point") -> Ok T.Point
+      | Ok _ -> Error "unknown kind"
+      | Error e -> Error e
+    in
+    let str name =
+      match field name with
+      | Ok (J.Str s) -> Ok s
+      | Ok _ -> Error (Printf.sprintf "%s must be a string" name)
+      | Error e -> Error e
+    in
+    let* component = str "component" in
+    let* cls = str "class" in
+    let* span =
+      match field "span" with
+      | Ok J.Null -> Ok None
+      | Ok (J.Int n) -> Ok (Some n)
+      | Ok _ -> Error "span must be null or an integer"
+      | Error e -> Error e
+    in
+    let* payload =
+      match field "payload" with
+      | Ok (J.Obj fields) ->
+          List.fold_left
+            (fun acc (k, v) ->
+              let* acc = acc in
+              let* v = value_of_json v in
+              Ok ((k, v) :: acc))
+            (Ok []) fields
+          |> Result.map List.rev
+      | Ok _ -> Error "payload must be an object"
+      | Error e -> Error e
+    in
+    Ok { T.seq; kind; component; cls; span; payload }
+
+  let event_of_string line =
+    let* j = of_string line in
+    event_of_json j
+end
+
+(* Same verdict as the oracle on [doc], for both the JSON parser and the
+   event reader: equal [Ok] values, or [Error] on both sides. *)
+let agrees doc =
+  let json =
+    match (J.of_string doc, Oracle.of_string doc) with
+    | Ok a, Ok b -> J.equal a b
+    | Error _, Error _ -> true
+    | _ -> false
+  in
+  let event =
+    match (T.event_of_string doc, Oracle.event_of_string doc) with
+    | Ok a, Ok b -> T.equal_event a b
+    | Error _, Error _ -> true
+    | _ -> false
+  in
+  json && event
+
+let check_agrees doc =
+  if not (agrees doc) then
+    Alcotest.failf "verdict differs from the oracle on %S" doc
+
+(* ------------------------------------------------------------------ *)
 (* JSON round-trips                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -100,7 +434,11 @@ let test_json_fuzz_roundtrip () =
           Alcotest.failf "fuzz %d: value changed through %s" i doc;
         Alcotest.(check string)
           (Printf.sprintf "fuzz %d: re-encode fixed point" i)
-          doc (J.to_string v')
+          doc (J.to_string v');
+        Alcotest.(check string)
+          (Printf.sprintf "fuzz %d: the tree codec's bytes" i)
+          (Oracle.to_string v) doc;
+        check_agrees doc
   done
 
 let mk_events () =
@@ -130,6 +468,223 @@ let test_event_roundtrip () =
       | Error msg ->
           Alcotest.failf "parse error on %s: %s" (T.event_to_string e) msg)
     (mk_events ())
+
+(* Strings heavy in what needs escaping: quotes, backslashes, every
+   control character, bytes above 0x7f. *)
+let gen_nasty_string =
+  QCheck.Gen.(
+    string_size (int_bound 24)
+      ~gen:
+        (frequency
+           [
+             (1, return '"');
+             (1, return '\\');
+             (2, map Char.chr (int_bound 31));
+             (2, map Char.chr (int_range 128 255));
+             (4, printable);
+           ]))
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, small_signed_int);
+        (2, int);
+        (1, oneofl [ max_int; min_int; 0; -1; max_int - 1; min_int + 1 ]);
+      ])
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float);
+        (1, oneofl [ 0.; -0.; 1e300; -1e-300; 5e-324; 0.1; nan; infinity ]);
+      ])
+
+let gen_event =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (3, map (fun s -> T.Str s) gen_nasty_string);
+          (3, map (fun n -> T.Int n) gen_int);
+          (1, map (fun f -> T.Float f) gen_float);
+          (1, map (fun b -> T.Bool b) bool);
+        ]
+    in
+    map
+      (fun ((seq, kind, component), (cls, span, payload)) ->
+        { T.seq; kind; component; cls; span; payload })
+      (pair
+         (triple gen_int
+            (oneofl [ T.Span_open; T.Span_close; T.Point ])
+            gen_nasty_string)
+         (triple gen_nasty_string (opt gen_int)
+            (list_size (int_bound 6) (pair gen_nasty_string value)))))
+
+let prop_event_codec_vs_oracle =
+  QCheck.Test.make ~count:2000 ~name:"render and read = tree codec"
+    (QCheck.make ~print:Oracle.event_to_string gen_event)
+    (fun e ->
+      let line = T.event_to_string e in
+      if not (String.equal line (Oracle.event_to_string e)) then
+        QCheck.Test.fail_reportf "rendered %S" line;
+      if not (agrees line) then QCheck.Test.fail_reportf "read of %S" line;
+      (* the same event as a generic value renders identically too *)
+      let tree = Oracle.event_json e in
+      String.equal (J.to_string tree) (Oracle.to_string tree))
+
+(* Integer literals at and past the edge of [int], and the shapes
+   [int_of_string] takes or refuses, alone and as an event's fields. *)
+let test_int_literals_vs_oracle () =
+  let digits k = String.init k (fun i -> Char.chr (49 + (i mod 9))) in
+  let lits =
+    [
+      digits 18;
+      digits 19;
+      digits 20;
+      "-" ^ digits 18;
+      "-" ^ digits 19;
+      "-" ^ digits 20;
+      string_of_int max_int;
+      string_of_int min_int;
+      "4611686018427387904";
+      "-4611686018427387905";
+      "9223372036854775807";
+      "18446744073709551616";
+      "-0";
+      "+0";
+      "+5";
+      "01";
+      "-01";
+      "007";
+      "+";
+      "-";
+      "--5";
+      "+-5";
+      "5-";
+      "5+5";
+      "0";
+    ]
+  in
+  List.iter
+    (fun lit ->
+      check_agrees lit;
+      check_agrees (" " ^ lit ^ " ");
+      check_agrees ("[" ^ lit ^ "]");
+      check_agrees
+        (Printf.sprintf
+           {|{"seq":%s,"kind":"point","component":"c","class":"k","span":%s,"payload":{"n":%s}}|}
+           lit lit lit))
+    lits;
+  (* and the accepted ones read back as the same [int] *)
+  List.iter
+    (fun (lit, v) ->
+      match J.of_string lit with
+      | Ok (J.Int n) -> Alcotest.(check int) lit v n
+      | _ -> Alcotest.failf "%s should parse as an Int" lit)
+    [
+      (string_of_int max_int, max_int);
+      (string_of_int min_int, min_int);
+      ("-0", 0);
+      ("+5", 5);
+      ("01", 1);
+    ]
+
+let test_float_literals_vs_oracle () =
+  List.iter
+    (fun lit ->
+      check_agrees lit;
+      check_agrees ("[" ^ lit ^ ",1]");
+      check_agrees
+        (Printf.sprintf
+           {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{"x":%s}}|}
+           lit))
+    [
+      "1.5"; "-0.0"; "0.1"; "1e5"; "1E5"; "1e+5"; "1e-5"; "-2.5e-3"; ".5";
+      "5."; "1e400"; "-1e400"; "1e"; "e1"; "1.2.3"; "1..2"; "+1.5"; "1e5.5";
+      "-"; "."; "4.9406564584124654e-324"; "0.30000000000000004";
+    ]
+
+(* Every truncation and every single-byte mutation of rendered lines
+   with escapes, control bytes and extreme numbers: the verdict and the
+   value match the oracle's on each. *)
+let test_truncations_and_mutations_vs_oracle () =
+  let events =
+    [
+      {
+        T.seq = 12;
+        kind = T.Point;
+        component = "vs.engine";
+        cls = "deliver";
+        span = None;
+        payload =
+          [
+            ("p", T.Str "1");
+            ("gid", T.Str "g3");
+            ("sn", T.Int 41);
+            ("origin", T.Str "0");
+            ("msg", T.Str "m\"q\\\n\x01\xe9");
+          ];
+      };
+      {
+        T.seq = max_int;
+        kind = T.Span_close;
+        component = "t\tab";
+        cls = "run";
+        span = Some min_int;
+        payload = [ ("w", T.Float 0.5); ("ok", T.Bool false); ("n", T.Int (-7)) ];
+      };
+    ]
+  in
+  (* field orders, duplicates (the first binding decides), missing,
+     extra and ill-typed fields, and a top level that is no object *)
+  List.iter check_agrees
+    [
+      {|{"payload":{},"span":null,"class":"k","component":"c","kind":"point","seq":3}|};
+      {| { "seq" : 1 , "kind" : "point" , "component" : "c" , "class" : "k" , "span" : 2 , "payload" : { "a" : true } } |};
+      {|{"seq":1,"seq":2,"kind":"point","component":"c","class":"k","span":null,"payload":{}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{},"seq":"x"}|};
+      {|{"seq":"x","kind":"point","component":"c","class":"k","span":null,"payload":{},"seq":1}|};
+      {|{"seq":1,"kind":"point","kind":"nope","component":"c","class":"k","span":null,"payload":{}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{"a":1,"a":"b"}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{},"payload":7}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{},"extra":[1,{}]}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","payload":{}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":1.5,"payload":{}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":7,"span":null,"payload":{}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{"x":null}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":{"x":[1]}}|};
+      {|{"seq":1,"kind":"point","component":"c","class":"k","span":null,"payload":[]}|};
+      {|[{"seq":1}]|};
+      {|"\u00e9\u0100\u1_2_\/\b\f"|};
+      {|"\u12"|};
+      {|"\x"|};
+      {|{}|};
+      {|{"a":1,}|};
+      {|[1,]|};
+      {|nul|};
+    ];
+  let bytes = List.init 256 Char.chr in
+  List.iter
+    (fun e ->
+      let line = T.event_to_string e in
+      check_agrees line;
+      for k = 0 to String.length line - 1 do
+        check_agrees (String.sub line 0 k)
+      done;
+      String.iteri
+        (fun i c0 ->
+          List.iter
+            (fun c ->
+              if c <> c0 then begin
+                let b = Bytes.of_string line in
+                Bytes.set b i c;
+                check_agrees (Bytes.to_string b)
+              end)
+            bytes)
+        line)
+    events
 
 let test_jsonl_file_roundtrip () =
   let events = mk_events () in
@@ -743,6 +1298,13 @@ let () =
           Alcotest.test_case "value round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "fuzz round-trip" `Quick test_json_fuzz_roundtrip;
           Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
+          QCheck_alcotest.to_alcotest prop_event_codec_vs_oracle;
+          Alcotest.test_case "int literals = tree codec" `Quick
+            test_int_literals_vs_oracle;
+          Alcotest.test_case "float literals = tree codec" `Quick
+            test_float_literals_vs_oracle;
+          Alcotest.test_case "truncations and mutations = tree codec" `Quick
+            test_truncations_and_mutations_vs_oracle;
           Alcotest.test_case "jsonl file round-trip" `Quick
             test_jsonl_file_roundtrip;
         ] );

@@ -39,14 +39,20 @@ let test_incremental_matches_whole () =
   let prop (s, cuts) =
     let c = Fp.create () in
     let n = String.length s in
-    let rec go i = function
-      | [] -> Fp.feed c (String.sub s i (n - i))
+    let b = Bytes.of_string s in
+    (* chunks alternate between the string and the bytes feeders *)
+    let feed k i len =
+      if k mod 2 = 0 then Fp.feed c (String.sub s i len)
+      else Fp.feed_bytes c b ~pos:i ~len
+    in
+    let rec go k i = function
+      | [] -> feed k i (n - i)
       | cut :: rest ->
           let cut = i + (cut mod (n - i + 1)) in
-          Fp.feed c (String.sub s i (cut - i));
-          go cut rest
+          feed k i (cut - i);
+          go (k + 1) cut rest
     in
-    go 0 cuts;
+    go 0 0 cuts;
     Fp.equal (Fp.finish c) (Fp.of_string s)
   in
   QCheck.Test.make ~name:"incremental digest is chunking-independent"

@@ -332,7 +332,7 @@ let test_no_dedup_defect_caught () =
       Alcotest.fail
         "broken dedup watermark escaped the exhaustive refinement check"
 
-(* [delivered_prefix] walks [rcv_buf] once from (g, 1); the reference
+(* [delivered_prefix] cuts (g, 1 .. upto) out of [rcv_buf]; the reference
    definition looks up each position 1 .. next_deliver - 1.  Random
    buffers with gaps, other views' entries and positions outside the
    delivered range, plus random next_deliver marks, must agree. *)
