@@ -682,12 +682,6 @@ let stack_action_class = function
 (* Stack footprint schema                                              *)
 (* ------------------------------------------------------------------ *)
 
-let stack_packet_kind : Stk.packet -> string = function
-  | Vs_impl.Packet.Fwd _ -> "fwd"
-  | Vs_impl.Packet.Seq _ -> "seq"
-  | Vs_impl.Packet.Ack _ -> "ack"
-  | Vs_impl.Packet.Stable _ -> "stable"
-
 (* The schema refines [stack_action_class]'s coarse [send]/[deliver]
    into per-packet-kind classes: the four send paths touch disjoint
    engine families (e.g. a [Seq] rebroadcast never reads [cur]), and
@@ -699,8 +693,8 @@ let stack_packet_kind : Stk.packet -> string = function
    per-kind subsequences, and the swap-replay audit's joinability probe
    covers the transiently-divergent interleaving of a shared channel. *)
 let stack_fine_class = function
-  | Stk.Send { pkt; _ } -> "send-" ^ stack_packet_kind pkt
-  | Stk.Deliver { pkt; _ } -> "deliver-" ^ stack_packet_kind pkt
+  | Stk.Send { pkt; _ } -> "send-" ^ Stk.N.pkt_kind pkt
+  | Stk.Deliver { pkt; _ } -> "deliver-" ^ Stk.N.pkt_kind pkt
   | a -> stack_action_class a
 
 let stack_kinds = [ "fwd"; "seq"; "ack"; "stable" ]
@@ -971,7 +965,7 @@ let stack_foot (s : Stk.state) (a : Stk.action) =
   | Stk.Drop { src; dst } ->
       let kinds =
         match Stk.N.head s.Stk.net ~src ~dst with
-        | Some p -> [ stack_packet_kind p ]
+        | Some p -> [ Stk.N.pkt_kind p ]
         | None -> stack_kinds
       in
       eff Write "faults"
@@ -979,7 +973,7 @@ let stack_foot (s : Stk.state) (a : Stk.action) =
   | Stk.Duplicate { src; dst } ->
       let kinds =
         match Stk.N.head s.Stk.net ~src ~dst with
-        | Some p -> [ stack_packet_kind p ]
+        | Some p -> [ Stk.N.pkt_kind p ]
         | None -> stack_kinds
       in
       eff Write "faults"
@@ -998,7 +992,7 @@ let stack_foot (s : Stk.state) (a : Stk.action) =
            (fun k -> eff ~inst:(ch src dst) Write ("channel." ^ k))
            stack_kinds
   | Stk.Retransmit { src; dst; pkt } ->
-      let k = stack_packet_kind pkt in
+      let k = Stk.N.pkt_kind pkt in
       [
         eff ~inst:(i src) Read "cur";
         eff ~inst:(i src) Read "views_seen";
@@ -1014,90 +1008,19 @@ let stack_foot (s : Stk.state) (a : Stk.action) =
         eff ~inst:(ch src dst) Push ("channel." ^ k);
       ]
 
-let stack_project (s : Stk.state) =
-  let eng render =
-    Proc.Map.fold
-      (fun p e acc -> acc ^ Printf.sprintf "%d={%s}" p (render e))
-      s.Stk.engines ""
+(* Families derived from the stack's description (DESIGN.md §13), plus the
+   net's channels split into per-kind subsequences, empty ones left out. *)
+let stack_project =
+  let derived = Check.Record.project Stk.record Check.Codec.string in
+  let chan_c = Check.Codec.(pg_map (seqs (Vs_impl.Packet.codec string))) in
+  let chan (s : Stk.state) kind =
+    let only q =
+      let q = Seqs.filter (fun p -> String.equal (Stk.N.pkt_kind p) kind) q in
+      if Seqs.is_empty q then None else Some q
+    in
+    Check.Codec.image chan_c (Pg_map.filter_map (fun _ q -> only q) s.Stk.net.Stk.N.channels)
   in
-  let gmap render m =
-    Gid.Map.fold
-      (fun g v acc -> acc ^ Printf.sprintf "%d=%s;" g (render v))
-      m ""
-  in
-  let pgmap render m =
-    Pg_map.fold
-      (fun (a, b) v acc -> acc ^ Printf.sprintf "%d.%d=%s;" a b (render v))
-      m ""
-  in
-  let seqs render q = String.concat "," (List.map render (Seqs.to_list q)) in
-  let view v = Format.asprintf "%a" View.pp v in
-  let mp (m, p) = Printf.sprintf "%s.%d" m p in
-  let chan kind =
-    Pg_map.fold
-      (fun (src, dst) q acc ->
-        let ps =
-          List.filter
-            (fun p -> String.equal (stack_packet_kind p) kind)
-            (Seqs.to_list q)
-        in
-        if ps = [] then acc
-        else
-          acc
-          ^ Printf.sprintf "%d>%d=%s;" src dst
-              (String.concat ","
-                 (List.map
-                    (fun p ->
-                      Format.asprintf "%a" (Vs_impl.Packet.pp Msg.pp) p)
-                    ps)))
-      s.Stk.net.Stk.N.channels ""
-  in
-  let d = s.Stk.daemon in
-  [
-    ( "cur",
-      eng (fun e ->
-          match e.Stk.E.cur with None -> "-" | Some v -> view v) );
-    ("views_seen", eng (fun e -> gmap view e.Stk.E.views_seen));
-    ("outq", eng (fun e -> gmap (seqs Fun.id) e.Stk.E.outq));
-    ("fwd_log", eng (fun e -> gmap (seqs Fun.id) e.Stk.E.fwd_log));
-    ("seq_log", eng (fun e -> gmap (seqs mp) e.Stk.E.seq_log));
-    ("fwd_seen", eng (fun e -> pgmap string_of_int e.Stk.E.fwd_seen));
-    ("bcast_sent", eng (fun e -> pgmap string_of_int e.Stk.E.bcast_sent));
-    ("acked_by", eng (fun e -> pgmap string_of_int e.Stk.E.acked_by));
-    ("stable_sent", eng (fun e -> pgmap string_of_int e.Stk.E.stable_sent));
-    ("rcv_buf", eng (fun e -> pgmap mp e.Stk.E.rcv_buf));
-    ("next_deliver", eng (fun e -> gmap string_of_int e.Stk.E.next_deliver));
-    ("next_safe_e", eng (fun e -> gmap string_of_int e.Stk.E.next_safe));
-    ("acked_upto", eng (fun e -> gmap string_of_int e.Stk.E.acked_upto));
-    ("stable_upto", eng (fun e -> gmap string_of_int e.Stk.E.stable_upto));
-    ( "issued",
-      Printf.sprintf "%s|%d"
-        (View.Set.fold
-           (fun v acc -> acc ^ view v)
-           d.Vs_impl.Daemon.issued "")
-        d.Vs_impl.Daemon.next_id );
-    ( "notified",
-      Proc.Map.fold
-        (fun p g acc -> acc ^ Format.asprintf "%d=%a;" p Gid.Bot.pp g)
-        d.Vs_impl.Daemon.notified "" );
-    ( "components",
-      String.concat "|"
-        (List.map
-           (fun c -> Format.asprintf "%a" Proc.Set.pp c)
-           d.Vs_impl.Daemon.components) );
-    ( "blocked",
-      String.concat ";"
-        (List.map
-           (fun (a, b) -> Printf.sprintf "%d>%d" a b)
-           s.Stk.net.Stk.N.blocked) );
-    ( "faults",
-      Printf.sprintf "%d/%d/%d" s.Stk.net.Stk.N.dropped
-        s.Stk.net.Stk.N.duplicated s.Stk.net.Stk.N.reordered );
-    ("channel.fwd", chan "fwd");
-    ("channel.seq", chan "seq");
-    ("channel.ack", chan "ack");
-    ("channel.stable", chan "stable");
-  ]
+  fun s -> derived s @ List.map (fun k -> ("channel." ^ k, chan s k)) stack_kinds
 
 (* [~extra_classes] lists the fault/retransmission classes this entry's
    policy can actually fire — the lossless entries omit them, which is

@@ -242,6 +242,11 @@ let option c =
 let via ~to_ ~of_ c =
   { wr = (fun w x -> c.wr w (to_ x)); rd = (fun r -> of_ (c.rd r)) }
 
+let image c x =
+  let w = wb_create 64 in
+  c.wr w x;
+  Bytes.sub_string w.b 0 w.len
+
 (* ------------------------------------------------------------------ *)
 (* Segment memo                                                       *)
 

@@ -1,23 +1,18 @@
 (** Versioned, canonical flat binary state codecs.
 
-    [state_key] renders a state into a formatted string; at exploration
-    scale that string is pure overhead — E15/E17 measure ~180 KB allocated
-    per visited state with fingerprinting at 93% of jobs:4 worker time.  A
-    codec replaces the string with a flat [Bytes] image that the
-    fingerprint reads directly, and that doubles as a decodable wire
-    format for counterexample files.
+    A codec writes a state as a flat [Bytes] image that the fingerprint
+    reads directly — the explorer's dedup identity; the [explore]
+    benchmark allocates ~10.4 KB per admitted state end to end — and that
+    doubles as a decodable wire format for counterexample files.
 
     {b Canonicality.}  Every field codec below is canonical: equal values
     (for the field's structural equality) produce byte-identical images.
     Sets and maps are emitted in ascending key order with a cardinal
-    prefix, so the image depends only on the container's contents — the
-    same invariant [state_key] relies on.  Consequently a state codec
-    assembled from these combinators is injective up to the state's
-    structural equality wherever every field is encoded in full, which is
-    at least as fine as [state_key]'s equality: fingerprint dedup over
-    the flat image merges no states the string path would keep apart
-    (see DESIGN.md §13 for the per-entry argument and [test/test_codec.ml]
-    for the differential check).
+    prefix, so the image depends only on the container's contents.  A
+    state codec assembled from these combinators is therefore injective up
+    to the state's structural equality wherever every field is encoded in
+    full; {!Record} derives the equality from the same field list (see
+    DESIGN.md §13 and [test/test_codec.ml]).
 
     {b Framing.}  A framed codec ({!type-t}) wraps the field image in
     [magic · id · version · body-length · body · 128-bit checksum].  The
@@ -78,6 +73,10 @@ val option : 'a f -> 'a option f
 val via : to_:('a -> 'b) -> of_:('b -> 'a) -> 'b f -> 'a f
 (** Transport a codec across an isomorphism: canonical iff [to_] maps
     equal values to equal images under the carrier codec. *)
+
+val image : 'a f -> 'a -> string
+(** The unframed bytes one value writes, memo bypassed as in {!encode}.
+    Images are self-delimiting, so concatenations compare part by part. *)
 
 val memo : 'a f -> 'a f
 (** [memo c] writes what [c] writes, but when writing into a {!scratch}

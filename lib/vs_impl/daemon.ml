@@ -45,24 +45,6 @@ let notify ?metrics t v p =
   | Some m -> Obs.Metrics.incr m "daemon.notifications");
   { t with notified = Proc.Map.add p (Gid.Bot.of_gid (View.id v)) t.notified }
 
-let permute pi t =
-  {
-    issued = View.Set.map (View.permute pi) t.issued;
-    next_id = t.next_id;
-    notified =
-      Proc.Map.fold
-        (fun p g acc -> Proc.Map.add (pi p) g acc)
-        t.notified Proc.Map.empty;
-    components = List.map (Proc.Set.map pi) t.components;
-  }
-
-let equal a b =
-  View.Set.equal a.issued b.issued
-  && Gid.equal a.next_id b.next_id
-  && Proc.Map.equal Gid.Bot.equal a.notified b.notified
-  && List.length a.components = List.length b.components
-  && List.for_all2 Proc.Set.equal a.components b.components
-
 let pp ppf t =
   Format.fprintf ppf "daemon: %d views issued, next %a" (View.Set.cardinal t.issued)
     Gid.pp t.next_id
@@ -81,24 +63,25 @@ let state_key t =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-(* Flat canonical codec over the same four components [state_key]
-   renders; injective up to [equal]. *)
-let codec : t Check.Codec.f =
-  let open Check.Codec in
-  let notified_c = proc_map gid_bot in
-  let components_c = list proc_set in
-  {
-    wr =
-      (fun b t ->
-        view_set.wr b t.issued;
-        Check.Codec.gid.wr b t.next_id;
-        notified_c.wr b t.notified;
-        components_c.wr b t.components);
-    rd =
-      (fun r ->
-        let issued = view_set.rd r in
-        let next_id = Check.Codec.gid.rd r in
-        let notified = notified_c.rd r in
-        let components = components_c.rd r in
-        { issued; next_id; notified; components });
-  }
+(* A function, so that the stack can nest it under its own payload type. *)
+let record () =
+  let open Check.Record in
+  make (fun issued next_id notified components -> { issued; next_id; notified; components })
+    [
+      field "issued" (fun t -> t.issued) (Fixed Check.Codec.view_set)
+        View.Set.equal ~family:(Family "issued")
+        ~permute:(fun pi -> View.Set.map (View.permute pi));
+      field "next_id" (fun t -> t.next_id) (Fixed Check.Codec.gid) Gid.equal
+        ~family:(Family "issued");
+      field "notified" (fun t -> t.notified) (Fixed Check.Codec.(proc_map gid_bot))
+        (Proc.Map.equal Gid.Bot.equal) ~family:(Family "notified")
+        ~permute:(fun pi m ->
+          Proc.Map.fold (fun p g acc -> Proc.Map.add (pi p) g acc) m Proc.Map.empty);
+      field "components" (fun t -> t.components) (Fixed Check.Codec.(list proc_set))
+        (List.equal Proc.Set.equal) ~family:(Family "components")
+        ~permute:(fun pi -> List.map (Proc.Set.map pi));
+    ]
+
+let equal = Check.Record.equal (record ())
+let permute = Check.Record.permute (record ())
+let codec = Check.Record.codec (record ()) Check.Codec.unit

@@ -44,6 +44,10 @@ val can_notify : t -> Prelude.View.t -> Prelude.Proc.t -> bool
 (** Record the notification.  [?metrics] bumps [daemon.notifications]. *)
 val notify : ?metrics:Obs.Metrics.t -> t -> Prelude.View.t -> Prelude.Proc.t -> t
 
+(** The fields, described once (DESIGN.md §13); [permute], [equal] and
+    [codec] are derived from it.  A function, to serve any payload type. *)
+val record : unit -> ('m, t) Check.Record.t
+
 (** Apply a processor permutation to every processor-indexed field —
     symmetry analysis support. *)
 val permute : (Prelude.Proc.t -> Prelude.Proc.t) -> t -> t

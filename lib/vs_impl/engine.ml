@@ -425,49 +425,6 @@ module Make (M : Msg_intf.S) = struct
               ]);
         { st with next_safe = Gid.Map.add g (sn + 1) st.next_safe }
 
-  (* Apply a processor permutation to every processor-indexed field.
-     Note the two [Pg_map] shapes: the watermark/counter maps are keyed
-     (processor, view-id) and re-keyed, while [rcv_buf] is keyed
-     (view-id, sequence-number) and only its values' origins move. *)
-  let permute pi st =
-    let rekey m =
-      Pg_map.fold (fun (p, g) v acc -> Pg_map.add (pi p, g) v acc) m Pg_map.empty
-    in
-    {
-      st with
-      me = pi st.me;
-      cur = Option.map (View.permute pi) st.cur;
-      views_seen = Gid.Map.map (View.permute pi) st.views_seen;
-      seq_log =
-        Gid.Map.map (Seqs.applytoall (fun (m, p) -> (m, pi p))) st.seq_log;
-      fwd_seen = rekey st.fwd_seen;
-      bcast_sent = rekey st.bcast_sent;
-      acked_by = rekey st.acked_by;
-      stable_sent = rekey st.stable_sent;
-      rcv_buf = Pg_map.map (fun (m, p) -> (m, pi p)) st.rcv_buf;
-    }
-
-  let equal a b =
-    Proc.equal a.me b.me
-    && Option.equal View.equal a.cur b.cur
-    && Gid.Map.equal View.equal a.views_seen b.views_seen
-    && Gid.Map.equal (Seqs.equal M.equal) a.outq b.outq
-    && Gid.Map.equal (Seqs.equal M.equal) a.fwd_log b.fwd_log
-    && Pg_map.equal Int.equal a.fwd_seen b.fwd_seen
-    && Gid.Map.equal
-         (Seqs.equal (fun (m, p) (m', p') -> M.equal m m' && Proc.equal p p'))
-         a.seq_log b.seq_log
-    && Pg_map.equal Int.equal a.bcast_sent b.bcast_sent
-    && Pg_map.equal Int.equal a.acked_by b.acked_by
-    && Pg_map.equal Int.equal a.stable_sent b.stable_sent
-    && Pg_map.equal
-         (fun (m, p) (m', p') -> M.equal m m' && Proc.equal p p')
-         a.rcv_buf b.rcv_buf
-    && Gid.Map.equal Int.equal a.next_deliver b.next_deliver
-    && Gid.Map.equal Int.equal a.next_safe b.next_safe
-    && Gid.Map.equal Int.equal a.acked_upto b.acked_upto
-    && Gid.Map.equal Int.equal a.stable_upto b.stable_upto
-
   let pp ppf st =
     Format.fprintf ppf "engine %a: cur=%a, %d views seen" Proc.pp st.me
       Gid.Bot.pp (cur_id st)
@@ -511,96 +468,72 @@ module Make (M : Msg_intf.S) = struct
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 
-  (* The payload-independent field codecs, built once per functor
-     instance instead of on every [codec_state] call. *)
-  let variant_c : variant Check.Codec.f =
-    let open Check.Codec in
-    {
-      wr =
-        (fun b -> function
-          | Faithful -> byte.wr b 0
-          | No_dedup -> byte.wr b 1
-          | No_retransmit -> byte.wr b 2);
-      rd =
-        (fun r ->
-          match byte.rd r with
-          | 0 -> Faithful
-          | 1 -> No_dedup
-          | 2 -> No_retransmit
-          | _ -> raise (Malformed "engine variant tag"));
-    }
+  let variant_c =
+    Check.Codec.via Check.Codec.byte
+      ~to_:(function Faithful -> 0 | No_dedup -> 1 | No_retransmit -> 2)
+      ~of_:(function
+        | 0 -> Faithful | 1 -> No_dedup | 2 -> No_retransmit
+        | _ -> raise (Check.Codec.Malformed "engine variant tag"))
 
-  let gm_view = Check.Codec.(gid_map view)
-  let pg_int = Check.Codec.(pg_map int)
-  let gm_int = Check.Codec.(gid_map int)
-  let cur_c = Check.Codec.(option view)
+  (* [variant] and [drop_stale] are constant across one exploration, so
+     encoding them keeps the image canonical and makes decode total.  The
+     counter maps are keyed (processor, view-id) and re-keyed by [permute];
+     [rcv_buf] is keyed (view-id, sequence-number): only origins move. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let module C = Check.Codec in
+    let mp_equal (m, p) (m', p') = M.equal m m' && Proc.equal p p' in
+    let origin pi (m, p) = (m, pi p) in
+    let log name get =
+      field name get (Payload (fun m -> C.(gid_map (seqs m))))
+        (Gid.Map.equal (Seqs.equal M.equal)) ~family:(Family name)
+    in
+    let rekey pi m = Pg_map.fold (fun (p, g) v -> Pg_map.add (pi p, g) v) m Pg_map.empty in
+    let counter name get =
+      field name get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) ~permute:rekey
+        ~family:(Family name)
+    in
+    let pointer ?family name get =
+      field name get (Fixed C.(gid_map int)) (Gid.Map.equal Int.equal)
+        ~family:(Family (Option.value family ~default:name))
+    in
+    make
+      (fun me cur views_seen outq fwd_log seq_log fwd_seen bcast_sent acked_by stable_sent
+           rcv_buf next_deliver next_safe acked_upto stable_upto variant drop_stale ->
+        { me; cur; views_seen; outq; fwd_log; seq_log; fwd_seen; bcast_sent; acked_by;
+          stable_sent; rcv_buf; next_deliver; next_safe; acked_upto; stable_upto;
+          variant; drop_stale })
+      [
+        field "me" (fun st -> st.me) (Fixed C.proc) Proc.equal ~permute:(fun pi -> pi);
+        field "cur" (fun st -> st.cur) (Fixed C.(option view))
+          (Option.equal View.equal) ~family:(Family "cur")
+          ~permute:(fun pi -> Option.map (View.permute pi));
+        field "views_seen" (fun st -> st.views_seen) (Fixed C.(gid_map view))
+          (Gid.Map.equal View.equal) ~family:(Family "views_seen")
+          ~permute:(fun pi -> Gid.Map.map (View.permute pi));
+        log "outq" (fun st -> st.outq);
+        log "fwd_log" (fun st -> st.fwd_log);
+        field "seq_log" (fun st -> st.seq_log)
+          (Payload (fun m -> C.(gid_map (seqs (pair m proc)))))
+          (Gid.Map.equal (Seqs.equal mp_equal)) ~family:(Family "seq_log")
+          ~permute:(fun pi -> Gid.Map.map (Seqs.applytoall (origin pi)));
+        counter "fwd_seen" (fun st -> st.fwd_seen);
+        counter "bcast_sent" (fun st -> st.bcast_sent);
+        counter "acked_by" (fun st -> st.acked_by);
+        counter "stable_sent" (fun st -> st.stable_sent);
+        field "rcv_buf" (fun st -> st.rcv_buf)
+          (Payload (fun m -> C.(pg_map (pair m proc))))
+          (Pg_map.equal mp_equal) ~family:(Family "rcv_buf")
+          ~permute:(fun pi -> Pg_map.map (origin pi));
+        pointer "next_deliver" (fun st -> st.next_deliver);
+        pointer "next_safe" (fun st -> st.next_safe) ~family:"next_safe_e";
+        pointer "acked_upto" (fun st -> st.acked_upto);
+        pointer "stable_upto" (fun st -> st.stable_upto);
+        field "variant" (fun st -> st.variant) (Fixed variant_c) ( = );
+        field "drop_stale" (fun st -> st.drop_stale) (Fixed C.bool) Bool.equal;
+      ]
 
-  (* Flat canonical codec over every field, in declaration order.
-     [variant] and [drop_stale] are fixed at construction and constant
-     across all reachable states of one exploration, so including them
-     keeps the encoding canonical there while making decode total. *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let gm_seq = gid_map (seqs m) in
-    let gm_seqp = gid_map (seqs (pair m proc)) in
-    let rcv_c = pg_map (pair m proc) in
-    {
-      wr =
-        (fun b st ->
-          proc.wr b st.me;
-          cur_c.wr b st.cur;
-          gm_view.wr b st.views_seen;
-          gm_seq.wr b st.outq;
-          gm_seq.wr b st.fwd_log;
-          gm_seqp.wr b st.seq_log;
-          pg_int.wr b st.fwd_seen;
-          pg_int.wr b st.bcast_sent;
-          pg_int.wr b st.acked_by;
-          pg_int.wr b st.stable_sent;
-          rcv_c.wr b st.rcv_buf;
-          gm_int.wr b st.next_deliver;
-          gm_int.wr b st.next_safe;
-          gm_int.wr b st.acked_upto;
-          gm_int.wr b st.stable_upto;
-          variant_c.wr b st.variant;
-          bool.wr b st.drop_stale);
-      rd =
-        (fun r ->
-          let me = proc.rd r in
-          let cur = cur_c.rd r in
-          let views_seen = gm_view.rd r in
-          let outq = gm_seq.rd r in
-          let fwd_log = gm_seq.rd r in
-          let seq_log = gm_seqp.rd r in
-          let fwd_seen = pg_int.rd r in
-          let bcast_sent = pg_int.rd r in
-          let acked_by = pg_int.rd r in
-          let stable_sent = pg_int.rd r in
-          let rcv_buf = rcv_c.rd r in
-          let next_deliver = gm_int.rd r in
-          let next_safe = gm_int.rd r in
-          let acked_upto = gm_int.rd r in
-          let stable_upto = gm_int.rd r in
-          let variant = variant_c.rd r in
-          let drop_stale = bool.rd r in
-          {
-            me;
-            cur;
-            views_seen;
-            outq;
-            fwd_log;
-            seq_log;
-            fwd_seen;
-            bcast_sent;
-            acked_by;
-            stable_sent;
-            rcv_buf;
-            next_deliver;
-            next_safe;
-            acked_upto;
-            stable_upto;
-            variant;
-            drop_stale;
-          });
-    }
+  let equal = Check.Record.equal record
+  let permute = Check.Record.permute record
+  let codec_state = Check.Record.codec record
 end

@@ -161,6 +161,10 @@ module Make (M : Prelude.Msg_intf.S) : sig
 
   val safed : ?metrics:Obs.Metrics.t -> ?sink:Obs.Trace.sink -> state -> state
 
+  (** The fields, described once (DESIGN.md §13); [permute], [equal] and
+      [codec_state] are derived from it. *)
+  val record : (M.t, state) Check.Record.t
+
   (** Apply a processor permutation to every processor-indexed field —
       symmetry analysis support.  Beware: the engine itself is {e not}
       equivariant (the sequencer is the least view member), so this is a

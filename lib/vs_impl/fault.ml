@@ -33,37 +33,28 @@ let storm ?(drop = 0.1) ?(duplicate = 0.05) ?(reorder = 0.05) ~steps () =
 
 let is_faulty p = p.max_drops > 0 || p.max_duplicates > 0 || p.max_reorders > 0
 
-let equal a b =
-  a.drop = b.drop && a.duplicate = b.duplicate && a.reorder = b.reorder
-  && a.max_drops = b.max_drops
-  && a.max_duplicates = b.max_duplicates
-  && a.max_reorders = b.max_reorders
-
 let pp ppf p =
   if not (is_faulty p) then Format.pp_print_string ppf "lossless"
   else
     Format.fprintf ppf "drop %.2f/%d dup %.2f/%d reorder %.2f/%d" p.drop
       p.max_drops p.duplicate p.max_duplicates p.reorder p.max_reorders
 
-(* Flat canonical codec over all six policy fields. *)
-let codec : policy Check.Codec.f =
-  let open Check.Codec in
-  {
-    wr =
-      (fun b p ->
-        float.wr b p.drop;
-        float.wr b p.duplicate;
-        float.wr b p.reorder;
-        int.wr b p.max_drops;
-        int.wr b p.max_duplicates;
-        int.wr b p.max_reorders);
-    rd =
-      (fun r ->
-        let drop = float.rd r in
-        let duplicate = float.rd r in
-        let reorder = float.rd r in
-        let max_drops = int.rd r in
-        let max_duplicates = int.rd r in
-        let max_reorders = int.rd r in
-        { drop; duplicate; reorder; max_drops; max_duplicates; max_reorders });
-  }
+let record : (unit, policy) Check.Record.t =
+  let open Check.Record in
+  (* floats compare by their bits, as the codec writes them *)
+  let bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let float name get = field name get (Fixed Check.Codec.float) bits in
+  let int name get = field name get (Fixed Check.Codec.int) Int.equal in
+  make (fun drop duplicate reorder max_drops max_duplicates max_reorders ->
+      { drop; duplicate; reorder; max_drops; max_duplicates; max_reorders })
+    [
+      float "drop" (fun p -> p.drop);
+      float "duplicate" (fun p -> p.duplicate);
+      float "reorder" (fun p -> p.reorder);
+      int "max_drops" (fun p -> p.max_drops);
+      int "max_duplicates" (fun p -> p.max_duplicates);
+      int "max_reorders" (fun p -> p.max_reorders);
+    ]
+
+let equal = Check.Record.equal record
+let codec = Check.Record.codec record Check.Codec.unit

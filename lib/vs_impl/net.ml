@@ -140,29 +140,8 @@ module Make (M : Msg_intf.S) = struct
     let s = set_channel s ~src ~dst q' in
     { s with reordered = s.reordered + 1 }
 
-  let permute pi s =
-    {
-      s with
-      channels =
-        Pg_map.fold
-          (fun (src, dst) q acc ->
-            Pg_map.add (pi src, pi dst) (Seqs.applytoall (Packet.permute pi) q) acc)
-          s.channels Pg_map.empty;
-      blocked = List.map (fun (p, q) -> (pi p, pi q)) s.blocked;
-    }
-
-  let in_channel s ~src ~dst pkt =
-    Seqs.exists
-      (fun p -> Packet.compare M.compare p pkt = 0)
-      (channel s ~src ~dst)
-
-  let equal a b =
-    Pg_map.equal (Seqs.equal (fun x y -> Packet.compare M.compare x y = 0))
-      a.channels b.channels
-    && List.length a.blocked = List.length b.blocked
-    && List.for_all (fun pair -> List.mem pair b.blocked) a.blocked
-    && a.dropped = b.dropped && a.duplicated = b.duplicated
-    && a.reordered = b.reordered
+  let pkt_equal a b = Packet.compare M.compare a b = 0
+  let in_channel s ~src ~dst pkt = Seqs.exists (pkt_equal pkt) (channel s ~src ~dst)
 
   let pp ppf s =
     Format.fprintf ppf "net: %d in flight, %d blocked pairs (%a)" (in_flight s)
@@ -190,33 +169,36 @@ module Make (M : Msg_intf.S) = struct
     Format.pp_print_flush ppf ();
     Buffer.contents buf
 
-  let blocked_c = Check.Codec.(list (pair proc proc))
+  (* [blocked] is written sorted-deduplicated and compares as a set.  The
+     policy is fixed at construction, so encoding it stays canonical. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let module C = Check.Codec in
+    let count name get = field name get (Fixed C.int) Int.equal ~family:(Family "faults") in
+    let subset a b = List.for_all (fun x -> List.mem x b) a in
+    make
+      (fun channels blocked faults dropped duplicated reordered ->
+        { channels; blocked; faults; dropped; duplicated; reordered })
+      [
+        field "channels" (fun s -> s.channels)
+          (Payload (fun m -> C.(pg_map (seqs (Packet.codec m)))))
+          (Pg_map.equal (Seqs.equal pkt_equal))
+          ~permute:(fun pi channels ->
+            Pg_map.fold
+              (fun (src, dst) q acc ->
+                Pg_map.add (pi src, pi dst) (Seqs.applytoall (Packet.permute pi) q) acc)
+              channels Pg_map.empty);
+        field "blocked" (fun s -> s.blocked)
+          (Fixed C.(via ~to_:(List.sort_uniq compare) ~of_:Fun.id (list (pair proc proc))))
+          (fun a b -> subset a b && subset b a) ~family:(Family "blocked")
+          ~permute:(fun pi -> List.map (fun (p, q) -> (pi p, pi q)));
+        field "faults" (fun s -> s.faults) (Fixed Fault.codec) Fault.equal;
+        count "dropped" (fun s -> s.dropped);
+        count "duplicated" (fun s -> s.duplicated);
+        count "reordered" (fun s -> s.reordered);
+      ]
 
-  (* Flat canonical codec.  [blocked] is written sorted-deduplicated so
-     states equal under [equal] (order-insensitive on that field) encode
-     identically; the fault policy and budget counters are encoded in
-     full, which is canonical within any one exploration (the policy is
-     fixed at construction and never varies across reachable states). *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let channels_c = pg_map (seqs (Packet.codec m)) in
-    {
-      wr =
-        (fun b s ->
-          channels_c.wr b s.channels;
-          blocked_c.wr b (List.sort_uniq compare s.blocked);
-          Fault.codec.wr b s.faults;
-          int.wr b s.dropped;
-          int.wr b s.duplicated;
-          int.wr b s.reordered);
-      rd =
-        (fun r ->
-          let channels = channels_c.rd r in
-          let blocked = blocked_c.rd r in
-          let faults = Fault.codec.rd r in
-          let dropped = int.rd r in
-          let duplicated = int.rd r in
-          let reordered = int.rd r in
-          { channels; blocked; faults; dropped; duplicated; reordered });
-    }
+  let equal = Check.Record.equal record
+  let permute = Check.Record.permute record
+  let codec_state = Check.Record.codec record
 end

@@ -41,6 +41,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
   (** [connected s p q]: may a packet flow from [p] to [q] right now? *)
   val connected : state -> Prelude.Proc.t -> Prelude.Proc.t -> bool
 
+  (** ["fwd"], ["seq"], ["ack"] or ["stable"]. *)
+  val pkt_kind : packet -> string
+
   (** [send s ~src ~dst pkt]: enqueue (always possible).  [?metrics]
       bumps the [net.sent] counter and a per-packet-kind subcounter
       ([net.sent.fwd] / [.seq] / [.ack] / [.stable]); the returned state
@@ -105,6 +108,10 @@ module Make (M : Prelude.Msg_intf.S) : sig
       beyond one copy per retransmittable packet). *)
   val in_channel :
     state -> src:Prelude.Proc.t -> dst:Prelude.Proc.t -> packet -> bool
+
+  (** The fields, described once (DESIGN.md §13); [permute], [equal] and
+      [codec_state] are derived from it. *)
+  val record : (M.t, state) Check.Record.t
 
   (** Apply a processor permutation: channels are re-keyed, packet
       origins mapped, blocked pairs mapped — symmetry analysis support.

@@ -155,12 +155,6 @@ module Make (M : Msg_intf.S) = struct
     | Reorder _ | Retransmit _ ->
         false
 
-  let equal_state a b =
-    N.equal a.net b.net
-    && Daemon.equal a.daemon b.daemon
-    && Proc.Map.equal E.equal a.engines b.engines
-    && Proc.Set.equal a.p0 b.p0
-
   let pp_state ppf s =
     Format.fprintf ppf "@[<v>%a@ %a@ %a@]" N.pp s.net Daemon.pp s.daemon
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (_, e) ->
@@ -185,47 +179,31 @@ module Make (M : Msg_intf.S) = struct
     Proc.Set.to_buffer buf s.p0;
     Buffer.contents buf
 
-  (* Flat canonical codec — net, daemon, every engine, and the initial
-     membership — mirroring [state_key]'s coverage.  A step replaces at
-     most one engine and the net, leaving the other components physically
-     shared with the predecessor, so the three component codecs are
-     segment-memoised. *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let net_c = memo (N.codec_state m) in
-    let daemon_c = memo Daemon.codec in
-    let engines_c = proc_map (memo (E.codec_state m)) in
-    {
-      wr =
-        (fun b s ->
-          net_c.wr b s.net;
-          daemon_c.wr b s.daemon;
-          engines_c.wr b s.engines;
-          proc_set.wr b s.p0);
-      rd =
-        (fun r ->
-          let net = net_c.rd r in
-          let daemon = daemon_c.rd r in
-          let engines = engines_c.rd r in
-          let p0 = proc_set.rd r in
-          { net; daemon; engines; p0 });
-    }
+  (* A step replaces at most one engine and the net, sharing the rest with
+     its predecessor, so three codecs are segment-memoised (a site each per
+     [codec_state] call).  The stack is not equivariant (the least view
+     member sequences), so [permute] only serves the symmetry audit. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let memo = Check.Codec.memo in
+    make (fun net daemon engines p0 -> { net; daemon; engines; p0 })
+      [
+        field "net" (fun s -> s.net) (Payload (fun m -> memo (N.codec_state m)))
+          N.equal ~permute:N.permute ~family:(Nested N.record);
+        field "daemon" (fun s -> s.daemon) (Payload (fun _ -> memo Daemon.codec))
+          Daemon.equal ~permute:Daemon.permute ~family:(Nested (Daemon.record ()));
+        field "engines" (fun s -> s.engines)
+          (Payload (fun m -> Check.Codec.proc_map (memo (E.codec_state m))))
+          (Proc.Map.equal E.equal) ~family:(Per_proc E.record)
+          ~permute:(fun pi es ->
+            Proc.Map.fold (fun p e -> Proc.Map.add (pi p) (E.permute pi e)) es Proc.Map.empty);
+        field "p0" (fun s -> s.p0) (Fixed Check.Codec.proc_set) Proc.Set.equal
+          ~permute:Proc.Set.map;
+      ]
 
-  (* Apply a processor permutation to the whole composition — symmetry
-     analysis support.  Engines are re-keyed *and* internally permuted.
-     The stack is declared non-equivariant (the engine elects the least
-     view member as sequencer), so this is only the state transport the
-     symmetry audit needs to localize the broken component. *)
-  let permute pi s =
-    {
-      net = N.permute pi s.net;
-      daemon = Daemon.permute pi s.daemon;
-      engines =
-        Proc.Map.fold
-          (fun p e acc -> Proc.Map.add (pi p) (E.permute pi e) acc)
-          s.engines Proc.Map.empty;
-      p0 = Proc.Set.map pi s.p0;
-    }
+  let equal_state = Check.Record.equal record
+  let codec_state = Check.Record.codec record
+  let permute = Check.Record.permute record
 
   let permute_action pi = function
     | Gpsnd (p, m) -> Gpsnd (pi p, m)

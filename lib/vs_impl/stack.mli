@@ -81,6 +81,10 @@ module Make (M : Prelude.Msg_intf.S) : sig
       [step] still matches [Ioa.Automaton.S] wherever the module is used
       unchanged. *)
 
+  (** The fields, described once (DESIGN.md §13); [equal_state],
+      [codec_state] and [permute] are derived from it. *)
+  val record : (M.t, state) Check.Record.t
+
   val equal_state : state -> state -> bool
   val pp_state : Format.formatter -> state -> unit
   val pp_action : Format.formatter -> action -> unit
@@ -96,9 +100,8 @@ module Make (M : Prelude.Msg_intf.S) : sig
   val state_key : state -> string
 
   (** Flat canonical codec — net, daemon, every engine and the initial
-      membership — mirroring {!state_key}'s coverage, given a payload
-      codec.  The net, daemon and engine codecs are
-      {!Check.Codec.memo}-wrapped. *)
+      membership — given a payload codec.  The net, daemon and engine
+      codecs are {!Check.Codec.memo}-wrapped. *)
   val codec_state : M.t Check.Codec.f -> state Check.Codec.f
 
   (** {2 Symmetry transport}

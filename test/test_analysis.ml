@@ -257,8 +257,7 @@ let test_key_clash () =
       Alcotest.(check int)
         (Printf.sprintf "all six states at jobs:%d" jobs)
         6 r'.F.states;
-      (* key-only dedup, what [find_cex] and bin/model_check run, is
-         audited the same way *)
+      (* key-only dedup, what [find_cex] runs, is audited the same way *)
       let out =
         Check.Explorer.run
           (gen (module Counter))

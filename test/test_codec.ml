@@ -751,6 +751,157 @@ let memo_two_domains () =
         ds
 
 (* ------------------------------------------------------------------ *)
+(* Record-derived equality and a seeded description defect             *)
+(* ------------------------------------------------------------------ *)
+
+(* The stack entries' equality, codec and permutation are derived from one
+   description, so [equal_state a b] must hold exactly when the codec
+   images are equal: over every pair of observed states, and between each
+   state and its image under the transposition 0↔1. *)
+let equality_is_image_equality () =
+  let entries = stack_entries () in
+  Alcotest.(check int) "both stack entries present" 2 (List.length entries);
+  List.iter
+    (fun (Reg.Entry e) ->
+      let sub = e.subject in
+      let eq = Option.get sub.An.equal_state in
+      let spec = Option.get sub.An.symmetry in
+      let image s = Bytes.to_string (C.encode sub.An.codec s) in
+      let states = Array.of_list (observed ~max_states:300 sub) in
+      let images = Array.map image states in
+      let check what a ia b ib =
+        if eq a b <> String.equal ia ib then
+          Alcotest.failf "%s: %s: equal_state %b but images %s" e.name what
+            (eq a b)
+            (if String.equal ia ib then "equal" else "differ")
+      in
+      Array.iteri
+        (fun i a ->
+          for j = i to Array.length states - 1 do
+            check "pair" a images.(i) states.(j) images.(j)
+          done;
+          let swapped = spec.Analysis.Symmetry.permute (function 0 -> 1 | 1 -> 0 | p -> p) a in
+          check "transposition" a images.(i) swapped (image swapped))
+        states;
+      (* a transposition must move some state, or the check is vacuous *)
+      Alcotest.(check bool)
+        (e.name ^ ": some state differs from its transposition")
+        true
+        (Array.exists
+           (fun a -> not (eq a (spec.Analysis.Symmetry.permute (function 0 -> 1 | 1 -> 0 | p -> p) a)))
+           states))
+    entries
+
+(* Seeded defect: a copy of the engine description that leaves
+   [stable_upto] out, its constructor filling the field from a constant.
+   The derived codec then never writes the field, so the vs-stack golden
+   digest moves, and decoding a state that learned a stable bound loses
+   it — the round-trip names the field. *)
+let defective_engine : (string, Stk.E.state) Check.Record.t =
+  let open Check.Record in
+  let open Prelude in
+  let mp_equal (m, p) (m', p') = String.equal m m' && Proc.equal p p' in
+  let gm_int get = field "" get (Fixed C.(gid_map int)) (Gid.Map.equal Int.equal) in
+  let pg_int get = field "" get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) in
+  let gm_seq get =
+    field "" get (Payload (fun m -> C.(gid_map (seqs m)))) (Gid.Map.equal (Seqs.equal String.equal))
+  in
+  make
+    (fun me cur views_seen outq fwd_log seq_log fwd_seen bcast_sent acked_by stable_sent
+         rcv_buf next_deliver next_safe acked_upto variant drop_stale ->
+      { Stk.E.me; cur; views_seen; outq; fwd_log; seq_log; fwd_seen; bcast_sent; acked_by;
+        stable_sent; rcv_buf; next_deliver; next_safe; acked_upto;
+        stable_upto = Gid.Map.empty; variant; drop_stale })
+    [
+      field "me" (fun st -> st.Stk.E.me) (Fixed C.proc) Proc.equal;
+      field "cur" (fun st -> st.Stk.E.cur) (Fixed C.(option view)) (Option.equal View.equal);
+      field "views_seen" (fun st -> st.Stk.E.views_seen) (Fixed C.(gid_map view))
+        (Gid.Map.equal View.equal);
+      gm_seq (fun st -> st.Stk.E.outq);
+      gm_seq (fun st -> st.Stk.E.fwd_log);
+      field "seq_log" (fun st -> st.Stk.E.seq_log)
+        (Payload (fun m -> C.(gid_map (seqs (pair m proc)))))
+        (Gid.Map.equal (Seqs.equal mp_equal));
+      pg_int (fun st -> st.Stk.E.fwd_seen);
+      pg_int (fun st -> st.Stk.E.bcast_sent);
+      pg_int (fun st -> st.Stk.E.acked_by);
+      pg_int (fun st -> st.Stk.E.stable_sent);
+      field "rcv_buf" (fun st -> st.Stk.E.rcv_buf) (Payload (fun m -> C.(pg_map (pair m proc))))
+        (Pg_map.equal mp_equal);
+      gm_int (fun st -> st.Stk.E.next_deliver);
+      gm_int (fun st -> st.Stk.E.next_safe);
+      gm_int (fun st -> st.Stk.E.acked_upto);
+      field "variant" (fun st -> st.Stk.E.variant)
+        (Fixed (C.via C.byte ~to_:(function Stk.E.Faithful -> 0 | No_dedup -> 1 | No_retransmit -> 2)
+           ~of_:(fun _ -> Stk.E.Faithful)))
+        ( = );
+      field "drop_stale" (fun st -> st.Stk.E.drop_stale) (Fixed C.bool) Bool.equal;
+    ]
+
+let stack_with engine : Stk.state C.f =
+  let open Check.Record in
+  let open Prelude in
+  codec
+    (make
+       (fun net daemon engines p0 -> { Stk.net; daemon; engines; p0 })
+       [
+         field "net" (fun s -> s.Stk.net) (Payload Stk.N.codec_state) Stk.N.equal;
+         field "daemon" (fun s -> s.Stk.daemon) (Fixed Vs_impl.Daemon.codec) Vs_impl.Daemon.equal;
+         field "engines" (fun s -> s.Stk.engines)
+           (Payload (fun m -> C.proc_map (codec engine m)))
+           (Proc.Map.equal Stk.E.equal);
+         field "p0" (fun (s : Stk.state) -> s.p0) (Fixed C.proc_set) Proc.Set.equal;
+       ])
+    C.string
+
+let seeded_field_defect () =
+  let cfg =
+    { (Stk.default_config ~payloads:[ "a" ] ~universe:2) with Stk.max_views = 2; max_sends = 1 }
+  in
+  let init = Stk.initial ~universe:2 ~p0:(Prelude.Proc.Set.universe 2) () in
+  let digest f =
+    Check.Fingerprint.to_hex
+      (Check.Fingerprint.of_string
+         (Bytes.to_string (C.encode (C.make ~id:"vs-stack" ~version:1 f) init)))
+  in
+  let want = List.assoc "vs-stack" golden in
+  Alcotest.(check string) "the honest description reproduces the pin" want
+    (digest (stack_with Stk.E.record));
+  let bad = stack_with defective_engine in
+  Alcotest.(check bool) "the defect moves the golden digest" true (digest bad <> want);
+  (* random walks reach the acknowledged, stable prefixes a shallow
+     breadth-first prefix does not *)
+  let (module A) = Stk.generative_pure cfg in
+  let rng = Random.State.make [| 7 |] in
+  let rec walk s n acc =
+    match A.candidates rng s with
+    | [] -> acc
+    | _ when n = 0 -> acc
+    | cs ->
+        let s = A.step s (List.nth cs (Random.State.int rng (List.length cs))) in
+        walk s (n - 1) (s :: acc)
+  in
+  let states = List.concat (List.init 20 (fun _ -> walk init 80 [])) in
+  let framed = C.make ~id:"vs-stack" ~version:1 bad in
+  let lost =
+    List.concat_map
+      (fun s ->
+        match C.decode framed (C.encode framed s) with
+        | Error err -> Alcotest.failf "defective frame failed to decode: %s" err
+        | Ok s' ->
+            Prelude.Proc.Map.fold
+              (fun p e acc ->
+                match Check.Record.diff Stk.E.record e (Prelude.Proc.Map.find p s'.Stk.engines) with
+                | Some name -> name :: acc
+                | None -> acc)
+              s.Stk.engines [])
+      states
+  in
+  Alcotest.(check bool) "the round-trip over walk states fails" true (lost <> []);
+  Alcotest.(check (list string)) "and names only the left-out field" [ "stable_upto" ]
+    (List.sort_uniq compare lost)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "codec"
@@ -789,6 +940,14 @@ let () =
             `Quick seeded_defect_injectivity;
           Alcotest.test_case "aliasing encoder fails the dedup differential"
             `Quick seeded_defect_differential;
+          Alcotest.test_case
+            "a field left out of a description fails round-trip and digest"
+            `Quick seeded_field_defect;
+        ] );
+      ( "record",
+        [
+          Alcotest.test_case "stack equality = codec-image equality" `Quick
+            equality_is_image_equality;
         ] );
       ( "memo",
         [

@@ -397,6 +397,35 @@ let test_cex_replays_with_schemas () =
             (Check.Shrink.reproduces o cex.An.cex_failure cex.An.cex_raw))
     (Reg.defects ())
 
+(* Write-conformance and swap-replay compare states family by family, so
+   a family the projection never returns (renamed, say [next_safe] for
+   [next_safe_e]) silently escapes the audit, and one it returns without
+   declaring is never certified.  On observed states of every entry with a
+   schema, the projected families must be exactly the declared ones. *)
+let test_projection_covers_components () =
+  List.iter
+    (fun (Reg.Entry e) ->
+      match e.subject.An.footprint with
+      | None -> ()
+      | Some sch ->
+          let declared = List.sort compare (List.map fst sch.F.components) in
+          let states = ref [] in
+          let _ =
+            Check.Explorer.run e.subject.An.automaton ~key:e.subject.An.key
+              ~invariants:[] ~seed:[| 0 |] ~max_states:200 ~jobs:1 ~state_rng:true
+              ~observe:(fun o -> states := o.Check.Explorer.obs_state :: !states)
+              ~init:e.subject.An.init ()
+          in
+          Alcotest.(check bool) (e.name ^ ": observed some states") true (!states <> []);
+          List.iter
+            (fun s ->
+              Alcotest.(check (list string))
+                (e.name ^ ": projected families = declared components")
+                declared
+                (List.sort compare (List.map fst (sch.F.project s))))
+            !states)
+    (Reg.all () @ Reg.defects ())
+
 let qcheck_case = QCheck_alcotest.to_alcotest
 
 let () =
@@ -414,6 +443,8 @@ let () =
           Alcotest.test_case "joinability probe" `Quick test_joinable;
           Alcotest.test_case "audit catches a lying schema" `Quick
             test_audit_catches_lies;
+          Alcotest.test_case "projections cover exactly the components" `Quick
+            test_projection_covers_components;
         ] );
       ( "soundness",
         [
