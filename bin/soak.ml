@@ -5,8 +5,9 @@
    transport through Live.Hub, drives open-loop client load through
    calm/storm fault phases, optionally SIGKILLs and respawns an
    endpoint mid-run, and exits nonzero on any online monitor violation,
-   trace line the collector could not parse, liveness stall, snapshot
-   divergence, or missed delivery target.
+   liveness stall, snapshot divergence, missed delivery target, or a
+   merged trace that is torn, lacks an endpoint's events, or fails an
+   offline replay of the standard rules.
 
    Writes soak.* metrics (throughput, latency histogram, availability
    samples) as a bench snapshot (--out BENCH_E20.json) whose
@@ -96,6 +97,7 @@ let () =
     end
   in
   let sock = Filename.concat dir "hub.sock" in
+  let merged_path = Filename.concat dir "merged.jsonl" in
   let trace_path p = Filename.concat dir (Printf.sprintf "trace-%d.jsonl" p) in
   let dvsd_bin =
     if !dvsd <> "" then !dvsd
@@ -108,7 +110,7 @@ let () =
         Live.Hub.sock_path = sock;
         universe;
         seed = !seed;
-        merged_path = Some (Filename.concat dir "merged.jsonl");
+        merged_path = Some merged_path;
       }
   in
   let metrics = Live.Hub.metrics hub in
@@ -409,12 +411,39 @@ let () =
     Printf.printf "soak: FAIL delivery target %d not reached (%d)\n%!"
       !deliveries delivered
   end;
-  (* a line the collector rejected is an event no monitor saw *)
-  let rejected = Obs.Metrics.count metrics "soak.trace_parse_errors" in
-  if rejected > 0 then begin
-    fail := true;
-    Printf.printf "soak: FAIL %d trace lines the collector could not parse\n%!"
-      rejected
-  end;
+  (* The merged trace, checked offline: it must decode whole, hold
+     events from every endpoint, and pass a fresh run of the standard
+     rules over the whole stream (online, each endpoint checked only
+     its own events, and the hub only the cross-endpoint ones). *)
+  let replay = Obs.Monitor.create (Obs.Monitor.standard ()) in
+  let names = List.map (fun p -> (Proc.to_string p, p)) (Proc.Set.elements universe) in
+  let contributed, torn =
+    In_channel.with_open_bin merged_path (fun ic ->
+        Obs.Trace.fold_jsonl_prefix ic Proc.Set.empty (fun seen e ->
+            ignore (Obs.Monitor.feed replay e);
+            match Obs.Trace.payload_str "p" e with
+            | Some name when String.equal e.Obs.Trace.component "vs.engine" -> (
+                match List.assoc_opt name names with
+                | Some p -> Proc.Set.add p seen
+                | None -> seen)
+            | _ -> seen))
+  in
+  (match torn with
+  | Some (line, why) ->
+      fail := true;
+      Printf.printf "soak: FAIL merged trace torn at line %d: %s\n%!" line why
+  | None -> ());
+  Proc.Set.iter
+    (fun p ->
+      fail := true;
+      Printf.printf "soak: FAIL merged trace holds no events of endpoint %d\n%!"
+        p)
+    (Proc.Set.diff universe contributed);
+  List.iter
+    (fun v ->
+      fail := true;
+      Printf.printf "soak: FAIL merged-trace replay: %s\n%!"
+        (Format.asprintf "%a" Obs.Monitor.pp_violation v))
+    (Obs.Monitor.violations replay);
   if !fail then exit 1;
   Printf.printf "soak: OK\n%!"

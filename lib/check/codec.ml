@@ -247,6 +247,22 @@ let image c x =
   c.wr w x;
   Bytes.sub_string w.b 0 w.len
 
+let list_image c iter =
+  let n = ref 0 in
+  iter (fun _ -> incr n);
+  let w = wb_create 64 in
+  w_uvarint w !n;
+  iter (c.wr w);
+  Bytes.sub_string w.b 0 w.len
+
+let of_image c s =
+  let r = { data = Bytes.unsafe_of_string s; pos = 0; limit = String.length s } in
+  match c.rd r with
+  | x -> if r.pos = r.limit then Ok x else Error "image has trailing bytes"
+  | exception Malformed msg -> Error ("malformed image: " ^ msg)
+  | exception (Invalid_argument msg | Failure msg) ->
+      Error ("malformed image: " ^ msg)
+
 (* ------------------------------------------------------------------ *)
 (* Segment memo                                                       *)
 
@@ -624,9 +640,11 @@ let encode t s =
   assert (w.len + digest_bytes = size);
   w.b
 
-let decode t frame =
+let decode_sub t frame ~pos ~len =
   try
-    let r = { data = frame; pos = 0; limit = Bytes.length frame } in
+    if pos < 0 || len < 0 || pos > Bytes.length frame - len then
+      invalid_arg "Codec.decode_sub: range";
+    let r = { data = frame; pos; limit = pos + len } in
     if r_u8 r <> magic then Error "bad magic byte"
     else begin
       let seg_pos = r.pos in
@@ -666,6 +684,8 @@ let decode t frame =
   with
   | Malformed msg -> Error ("malformed frame: " ^ msg)
   | Invalid_argument msg | Failure msg -> Error ("malformed body: " ^ msg)
+
+let decode t frame = decode_sub t frame ~pos:0 ~len:(Bytes.length frame)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch fingerprinting                                             *)

@@ -78,6 +78,16 @@ val image : 'a f -> 'a -> string
 (** The unframed bytes one value writes, memo bypassed as in {!encode}.
     Images are self-delimiting, so concatenations compare part by part. *)
 
+val list_image : 'a f -> (('a -> unit) -> unit) -> string
+(** [list_image c iter] is [image (list c) xs] for the elements [xs]
+    that [iter] visits, in order, without building [xs].  [iter] runs
+    twice and must visit the same elements both times. *)
+
+val of_image : 'a f -> string -> ('a, string) result
+(** Inverse of {!image}: [Error _] unless the reader consumes the whole
+    string.  Unframed, so no checksum: for images that travel inside a
+    checked frame. *)
+
 val memo : 'a f -> 'a f
 (** [memo c] writes what [c] writes, but when writing into a {!scratch}
     it caches the byte segment [c] wrote for a value, keyed by physical
@@ -150,6 +160,10 @@ val decode : 's t -> bytes -> ('s, string) result
     escaping a field reader — yields [Error _]; a mutated or truncated
     buffer never mis-decodes silently, because it cannot satisfy the
     128-bit checksum. *)
+
+val decode_sub : 's t -> bytes -> pos:int -> len:int -> ('s, string) result
+(** {!decode} of the frame at [pos, pos + len) of a larger buffer, with
+    no copy of it. *)
 
 (** {1 Fingerprinting without framing}
 

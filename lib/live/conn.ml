@@ -54,13 +54,16 @@ let reserve t n =
     t.out_end <- pending
   end
 
+(* The stream form of {!Wire.to_wire}, written straight into the
+   buffer: one copy of the image, not two. *)
 let send t frame =
   if t.alive then begin
-    let b = Wire.to_wire frame in
+    let b = Wire.encode frame in
     let n = Bytes.length b in
-    reserve t n;
-    Bytes.blit b 0 t.out t.out_end n;
-    t.out_end <- t.out_end + n
+    reserve t (4 + n);
+    Bytes.set_int32_be t.out t.out_end (Int32.of_int n);
+    Bytes.blit b 0 t.out (t.out_end + 4) n;
+    t.out_end <- t.out_end + 4 + n
   end
 
 (* [Unix.single_write] moves at most 64 KiB per call, so a flush costs

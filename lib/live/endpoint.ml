@@ -13,8 +13,10 @@ type config = {
    individually monotone (queues shrink, counters advance), so the
    fixpoint terminates; re-running the outer loop picks up outputs a
    previous one enabled (a delivery enables an ack, a forward enables
-   nothing locally but a sequenced rebroadcast does at the sequencer). *)
-let drain ~sink ~send_pkt st =
+   nothing locally but a sequenced rebroadcast does at the sequencer).
+   [on_deliver] sees each client delivery as a value, before the engine
+   records it. *)
+let drain ~sink ~send_pkt ~on_deliver st =
   let continue = ref true in
   while !continue do
     continue := false;
@@ -61,10 +63,16 @@ let drain ~sink ~send_pkt st =
             continue := true
         | _ -> ())
       (E.stable_sends !st);
-    while E.deliverable !st <> None do
-      st := E.delivered ~sink !st;
-      continue := true
-    done;
+    let rec deliveries () =
+      match (E.deliverable !st, E.cur_id !st) with
+      | Some (origin, msg), Some gid ->
+          on_deliver { Wire.gid; sn = E.next_deliver_of !st gid; origin; msg };
+          st := E.delivered ~sink !st;
+          continue := true;
+          deliveries ()
+      | _ -> ()
+    in
+    deliveries ();
     (* safe indications advance silently: the monitors key on sequenced
        and deliver events, and tracing safes too would add ~50% volume *)
     while E.safe_ready !st <> None do
@@ -73,16 +81,19 @@ let drain ~sink ~send_pkt st =
     done
   done
 
-let snapshot_of st =
-  let views =
-    Gid.Map.fold
-      (fun g _ acc ->
-        match E.delivered_prefix st g with
-        | [] -> acc
-        | prefix -> (g, prefix) :: acc)
-      st.E.views_seen []
-  in
-  Wire.Snapshot { proc = st.E.me; views = List.rev views }
+(* The image of the delivered prefix of every view [st] holds, oldest
+   view first. *)
+let images st =
+  Gid.Map.fold
+    (fun g _ acc ->
+      if E.next_deliver_of st g = 1 then acc
+      else (g, Wire.prefix_image_iter (E.iter_delivered st g)) :: acc)
+    st.E.views_seen []
+  |> List.rev
+
+(* [archive]: the images of the views retired from [st], oldest first. *)
+let snapshot_of ~archive st =
+  Wire.Snapshot { proc = st.E.me; views = archive @ images st }
 
 let now () = Unix.gettimeofday ()
 
@@ -90,35 +101,59 @@ let now () = Unix.gettimeofday ()
    so deferring them costs latency, not correctness. *)
 let rtx_backpressure = 1 lsl 20
 
-let serve ?trace_oc ~me ~retransmit_s fd =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let conn = Conn.create fd in
-  Conn.send conn (Wire.Hello { proc = me });
+let loop ~trace_path ~trace_oc ~me ~retransmit_s conn fd =
+  Conn.send conn (Wire.Hello { proc = me; trace = trace_path });
   (* Boot in a self-only v0: inert (the hub injects clients only into
      hub-issued views, whose ids start at 1) until the first View_note. *)
   let st =
     ref (E.initial ~drop_stale:true ~p0:(Proc.Set.singleton me) me)
   in
+  (* At each view change the superseded views' state is retired from
+     the engine; only their delivered prefixes, which snapshots report,
+     are kept, as images: ~12 bytes a delivery where the engine held
+     ~170 (its buffer entry and its share of the sequencer and sender
+     logs). *)
+  let archive = ref [] in
+  let install v =
+    let st' = E.on_newview !st v in
+    let cur = View.id v in
+    archive := !archive @ List.filter (fun (g, _) -> Gid.lt g cur) (images st');
+    st := E.retire st'
+  in
+  (* Every event goes to the trace file and through the rules local to
+     this endpoint; a latch ships one Violation frame. *)
+  let local = Obs.Monitor.create (Obs.Monitor.local ()) in
+  let events = ref 0 and delivered = ref [] in
   let sink =
     Obs.Trace.callback (fun e ->
-        let line = Obs.Trace.event_to_string e in
+        incr events;
         (match trace_oc with
         | Some oc ->
-            output_string oc line;
+            output_string oc (Obs.Trace.event_to_string e);
             output_char oc '\n'
         | None -> ());
-        Conn.send conn (Wire.Trace_line line))
+        List.iter
+          (fun v -> Conn.send conn (Wire.Violation v))
+          (Obs.Monitor.feed local e))
   in
-  (* One flush per loop turn: the trace file first, then the socket, so
-     the file always holds every event the hub can have received.  A
-     SIGKILL leaves a prefix, torn at most in its last line
-     (Trace.read_jsonl_prefix recovers it). *)
+  (* One report and one flush per loop turn: the turn's deliveries, then
+     the trace file, then the socket, so the file always holds every
+     event the hub has been told of.  A SIGKILL leaves a prefix, torn at
+     most in its last line (Trace.read_jsonl_prefix recovers it). *)
   let flush_out () =
+    if !events > 0 then begin
+      Conn.send conn
+        (Wire.Delivered
+           { proc = me; events = !events; records = List.rev !delivered });
+      events := 0;
+      delivered := []
+    end;
     Option.iter flush trace_oc;
     Conn.flush conn
   in
   let send_pkt dst pkt = Conn.send conn (Wire.Pkt { src = me; dst; pkt }) in
-  let drain () = drain ~sink ~send_pkt st in
+  let on_deliver d = delivered := d :: !delivered in
+  let drain () = drain ~sink ~send_pkt ~on_deliver st in
   let last_rtx = ref (now ()) in
   let running = ref true in
   while !running && Conn.alive conn do
@@ -130,12 +165,15 @@ let serve ?trace_oc ~me ~retransmit_s fd =
         if w <> [] then flush_out ();
         if rd <> [] then begin
           Conn.recv conn (function
-            | Wire.View_note v -> st := E.on_newview !st v
+            | Wire.View_note v -> install v
             | Wire.Pkt { src; pkt; _ } -> st := E.on_packet ~sink !st ~src pkt
             | Wire.Client m -> st := E.on_gpsnd !st m
-            | Wire.Snapshot_req -> Conn.send conn (snapshot_of !st)
+            | Wire.Snapshot_req ->
+                Conn.send conn (snapshot_of ~archive:!archive !st)
             | Wire.Shutdown -> running := false
-            | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot _ -> ());
+            | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot _
+            | Wire.Delivered _ | Wire.Violation _ ->
+                ());
           drain ()
         end
     | exception Unix.Unix_error (EINTR, _, _) -> ());
@@ -149,7 +187,8 @@ let serve ?trace_oc ~me ~retransmit_s fd =
       drain ()
     end
   done;
-  (* best-effort flush of the tail (acks, trace lines) *)
+  (* best-effort flush of the tail (acks, the last report) *)
+  flush_out ();
   let deadline = now () +. 1.0 in
   while Conn.alive conn && Conn.pending_out conn > 0 && now () < deadline do
     (match Unix.select [] [ fd ] [] 0.05 with
@@ -157,7 +196,18 @@ let serve ?trace_oc ~me ~retransmit_s fd =
     | exception Unix.Unix_error (EINTR, _, _) -> ());
     flush_out ()
   done;
+  (* the file is final before the hub sees EOF: the hub appends it to
+     its merged trace when the connection ends *)
+  Option.iter close_out_noerr trace_oc;
   Conn.close conn
+
+let serve ?trace_path ~me ~retransmit_s fd =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let conn = Conn.create fd in
+  let trace_oc = Option.map open_out trace_path in
+  Fun.protect
+    ~finally:(fun () -> Option.iter close_out_noerr trace_oc)
+    (fun () -> loop ~trace_path ~trace_oc ~me ~retransmit_s conn fd)
 
 let connect sock_path =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
@@ -168,12 +218,7 @@ let connect sock_path =
   fd
 
 let run cfg =
-  let fd = connect cfg.sock_path in
-  let trace_oc = Option.map open_out cfg.trace_path in
-  Fun.protect
-    ~finally:(fun () ->
-      match trace_oc with Some oc -> close_out_noerr oc | None -> ())
-    (fun () ->
-      serve ?trace_oc ~me:cfg.me ~retransmit_s:cfg.retransmit_s fd)
+  serve ?trace_path:cfg.trace_path ~me:cfg.me ~retransmit_s:cfg.retransmit_s
+    (connect cfg.sock_path)
 
 let spawn_domain cfg = Domain.spawn (fun () -> run cfg)

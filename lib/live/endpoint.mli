@@ -9,16 +9,24 @@
     acks, stable announcements, deliveries, safe indications), and a
     throttled timer re-offers {!Vs_impl.Engine.Make.retransmit_sends}
     so traffic lost in the hub's fault proxy is recovered go-back-N
-    style.  [Snapshot_req] answers with the per-view delivered
-    prefixes; [Shutdown] (or hub death) ends the loop.
+    style.  At each [View_note] the engine retires the superseded
+    views' state ({!Vs_impl.Engine.Make.retire}), keeping only their
+    delivered prefixes, as images.  [Snapshot_req] answers with every
+    view's delivered prefix; [Shutdown] (or hub death) ends the loop.
 
-    Tracing: every accepted forward ("sequenced") and every delivery
-    ("deliver") is emitted on component ["vs.engine"], appended to a
-    local JSONL file and shipped to the hub as a [Trace_line] frame for
-    online monitoring.  Both outputs are buffered and flushed once per
-    event-loop turn, the file immediately before the socket, so the
-    file always holds every event the hub can have received; a SIGKILL
-    leaves a decodable prefix, torn at most in its final line.
+    Checking at the source: every accepted forward ("sequenced") and
+    every delivery ("deliver") is emitted on component ["vs.engine"],
+    appended to a local JSONL file, and fed to the rules that read this
+    endpoint's events only ({!Obs.Monitor.local}: unique sequencing,
+    contiguous delivery); a rule that latches ships one [Violation]
+    frame.  Once per event-loop turn the endpoint sends the hub one
+    binary [Delivered] report — the turn's deliveries as values and its
+    trace-event count — then flushes the file, then the socket, so the
+    file always holds every event the hub has been told of; a SIGKILL
+    leaves a decodable prefix, torn at most in its final line.  [Hello]
+    names the file, and the endpoint closes it before its socket, so
+    when the hub sees the connection end the file is final and the hub
+    appends it to its merged trace.
 
     The same loop runs as an OS process ([bin/dvsd] calls {!run}) or as
     a domain in the orchestrator's process ({!spawn_domain}) — the
@@ -36,10 +44,10 @@ type config = {
     [Unix.Unix_error] if the initial connect fails. *)
 val run : config -> unit
 
-(** Run the endpoint loop over an already-connected descriptor (domain
-    mode; also what {!run} calls after connecting). *)
+(** Run the endpoint loop over an already-connected descriptor (what
+    {!run} calls after connecting), tracing to [trace_path] if given. *)
 val serve :
-  ?trace_oc:out_channel ->
+  ?trace_path:string ->
   me:Prelude.Proc.t ->
   retransmit_s:float ->
   Unix.file_descr ->

@@ -12,8 +12,10 @@ type t = {
   listen_fd : Unix.file_descr;
   mutable anon : Conn.t list;  (* accepted, no Hello yet *)
   mutable conns : (Proc.t * Conn.t) list;
+  mutable traces : string Proc.Map.t;  (* trace file named in Hello *)
   proxy : Proxy.t;
   monitor : Obs.Monitor.t;
+  prefix : Obs.Monitor.Prefix.t;
   metrics : Obs.Metrics.t;
   merged_oc : out_channel option;
   mutable next_gid : Gid.t;
@@ -23,7 +25,7 @@ type t = {
   mutable stormy : bool;
   inflight : (string, float) Hashtbl.t;  (* payload -> inject time (ms) *)
   mutable injected : int Gid.Map.t;
-  delivered_sn : (string * string, int) Hashtbl.t;  (* (p, gid) -> max sn *)
+  delivered_sn : (Proc.t * Gid.t, int) Hashtbl.t;  (* max sn *)
   mutable delivered_total : int;
   mutable unique_delivered : int;
   mutable snaps : (Proc.t * (Gid.t * (string * Proc.t) list) list) list;
@@ -47,11 +49,12 @@ let create cfg =
     listen_fd = fd;
     anon = [];
     conns = [];
+    traces = Proc.Map.empty;
     proxy = Proxy.create ~metrics ~seed:cfg.seed ();
     monitor =
       Obs.Monitor.create
-        (Obs.Monitor.standard ()
-        @ [ Obs.Monitor.monotone ~component:"live.soak" ~key:"delivered" () ]);
+        [ Obs.Monitor.monotone ~component:"live.soak" ~key:"delivered" () ];
+    prefix = Obs.Monitor.Prefix.create ();
     metrics;
     merged_oc = Option.map open_out cfg.merged_path;
     next_gid = Gid.succ Gid.g0;
@@ -86,10 +89,9 @@ let connected t =
 let injected_in t g = Option.value ~default:0 (Gid.Map.find_opt g t.injected)
 
 let delivered_in t ~proc ~gid =
-  Option.value ~default:0
-    (Hashtbl.find_opt t.delivered_sn (Proc.to_string proc, Gid.to_string gid))
+  Option.value ~default:0 (Hashtbl.find_opt t.delivered_sn (proc, gid))
 
-(* ---------------- collector ---------------- *)
+(* ---------------- checks and the merged trace ---------------- *)
 
 let write_merged t line =
   match t.merged_oc with
@@ -98,8 +100,44 @@ let write_merged t line =
       output_string oc line;
       output_char oc '\n'
 
-let p_str = Obs.Trace.payload_str
-let p_int = Obs.Trace.payload_int
+(* An endpoint's trace file, appended to the merged trace when its
+   connection ends — the endpoint closes the file before its socket, and
+   a SIGKILL'd one writes no more — so the merged trace holds every
+   endpoint event without the hub parsing any.  Whole lines only, in
+   fixed-size chunks: a torn last line stays out. *)
+let append_trace t path =
+  match t.merged_oc with
+  | None -> ()
+  | Some oc -> (
+      match open_in_bin path with
+      | exception Sys_error _ -> ()
+      | ic ->
+          let buf = Bytes.create 65536 and carry = Buffer.create 256 in
+          let rec copy () =
+            let n = input ic buf 0 (Bytes.length buf) in
+            if n > 0 then begin
+              (match Bytes.rindex_from_opt buf (n - 1) '\n' with
+              | None -> Buffer.add_subbytes carry buf 0 n
+              | Some i ->
+                  Buffer.output_buffer oc carry;
+                  Buffer.clear carry;
+                  output oc buf 0 (i + 1);
+                  Buffer.add_subbytes carry buf (i + 1) (n - i - 1));
+              copy ()
+            end
+          in
+          copy ();
+          close_in ic)
+
+(* A connection that ended: close it and merge its endpoint's trace. *)
+let finish t (p, c) =
+  Conn.close c;
+  Option.iter (append_trace t) (Proc.Map.find_opt p t.traces);
+  t.traces <- Proc.Map.remove p t.traces
+
+let latch t v =
+  if Obs.Monitor.record t.monitor v then
+    Obs.Metrics.incr t.metrics "soak.monitor_violations"
 
 let feed_monitor t e =
   let fresh = Obs.Monitor.feed t.monitor e in
@@ -107,37 +145,34 @@ let feed_monitor t e =
     Obs.Metrics.incr ~by:(List.length fresh) t.metrics
       "soak.monitor_violations"
 
-let on_deliver t e =
+(* One delivery [p] reported: drain and throughput accounting, the
+   latency sample of its first delivery, and the cross-endpoint prefix
+   check (the rule the endpoints cannot run locally). *)
+let on_record t p (d : Wire.delivery) =
   t.delivered_total <- t.delivered_total + 1;
   Obs.Metrics.incr t.metrics "soak.delivered";
-  (match (p_str "p" e, p_str "gid" e, p_int "sn" e) with
-  | Some p, Some gid, Some sn ->
-      let k = (p, gid) in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt t.delivered_sn k) in
-      if sn > prev then Hashtbl.replace t.delivered_sn k sn
-  | _ -> ());
-  match p_str "msg" e with
-  | Some msg -> (
-      match Hashtbl.find_opt t.inflight msg with
-      | Some t0 ->
-          Hashtbl.remove t.inflight msg;
-          t.unique_delivered <- t.unique_delivered + 1;
-          Obs.Metrics.observe t.metrics "soak.latency_ms"
-            (Obs.Metrics.now_ms () -. t0)
-      | None -> ())
+  let k = (p, d.gid) in
+  let prev = Option.value ~default:0 (Hashtbl.find_opt t.delivered_sn k) in
+  if d.sn > prev then Hashtbl.replace t.delivered_sn k d.sn;
+  (match Hashtbl.find_opt t.inflight d.msg with
+  | Some t0 ->
+      Hashtbl.remove t.inflight d.msg;
+      t.unique_delivered <- t.unique_delivered + 1;
+      Obs.Metrics.observe t.metrics "soak.latency_ms"
+        (Obs.Metrics.now_ms () -. t0)
+  | None -> ());
+  match
+    Obs.Monitor.Prefix.check t.prefix ~gid:(Gid.to_string d.gid) ~sn:d.sn
+      ~origin:(Proc.to_string d.origin) ~msg:d.msg
+  with
   | None -> ()
-
-let on_trace_line t line =
-  Obs.Metrics.incr t.metrics "soak.trace_events";
-  write_merged t line;
-  match Obs.Trace.event_of_string line with
-  | Error _ -> Obs.Metrics.incr t.metrics "soak.trace_parse_errors"
-  | Ok e ->
-      feed_monitor t e;
-      if
-        String.equal e.Obs.Trace.cls "deliver"
-        && String.equal e.Obs.Trace.component "vs.engine"
-      then on_deliver t e
+  | Some reason ->
+      latch t
+        {
+          Obs.Monitor.rule = Obs.Monitor.Prefix.name;
+          at_seq = t.delivered_total;
+          reason;
+        }
 
 (* The hub's own progress points: the delivered counter is the soak's
    liveness signal, watched online by the monotone monitor rule. *)
@@ -269,19 +304,37 @@ let on_frame t src frame =
       (* trust the connection's identity, not the frame's src field *)
       let frame = Wire.Pkt { src; dst; pkt } in
       deliver_copies t (Proxy.route t.proxy ~src ~dst frame) ~dst
-  | Wire.Trace_line line -> on_trace_line t line
-  | Wire.Snapshot { proc; views } ->
-      t.snaps <- (proc, views) :: List.remove_assoc proc t.snaps
-  | Wire.Hello _ | Wire.View_note _ | Wire.Client _ | Wire.Snapshot_req
-  | Wire.Shutdown ->
+  | Wire.Delivered { events; records; _ } ->
+      (* as for Pkt: the records are the connection's, whatever the
+         frame says *)
+      Obs.Metrics.incr ~by:events t.metrics "soak.trace_events";
+      List.iter (on_record t src) records
+  | Wire.Violation v -> latch t v
+  | Wire.Snapshot { proc; views } -> (
+      let rec decode = function
+        | [] -> Ok []
+        | (g, image) :: rest ->
+            Result.bind (Wire.prefix_of_image image) (fun prefix ->
+                Result.map (fun views -> (g, prefix) :: views) (decode rest))
+      in
+      match decode views with
+      | Ok views -> t.snaps <- (proc, views) :: List.remove_assoc proc t.snaps
+      | Error _ -> Obs.Metrics.incr t.metrics "soak.bad_snapshots")
+  | Wire.Hello _ | Wire.View_note _ | Wire.Client _ | Wire.Trace_line _
+  | Wire.Snapshot_req | Wire.Shutdown ->
       ()
 
-let register t conn p =
-  (* a reconnecting endpoint replaces its dead predecessor *)
+let register t conn p trace =
+  (* A reconnecting endpoint replaces its dead predecessor.  Its trace
+     file is not merged here: the successor reopened (truncated) it
+     before saying Hello.  [bin/soak], the benchmark fleet and
+     [test_live_crash] leave seconds between a kill and its respawn,
+     so [reap] has merged the predecessor's file long before. *)
   (match List.assoc_opt p t.conns with
   | Some old -> Conn.close old
   | None -> ());
   t.conns <- (p, conn) :: List.remove_assoc p t.conns;
+  t.traces <- Proc.Map.update p (fun _ -> trace) t.traces;
   t.member_view <- Proc.Map.remove p t.member_view;
   Obs.Metrics.incr t.metrics "soak.connects";
   reissue t
@@ -293,10 +346,10 @@ let process_anon t conn =
   Conn.recv conn (fun frame ->
       match (!owner, frame) with
       | Some p, _ -> on_frame t p frame
-      | None, Wire.Hello { proc } ->
+      | None, Wire.Hello { proc; trace } ->
           owner := Some proc;
           t.anon <- List.filter (fun c -> c != conn) t.anon;
-          register t conn proc
+          register t conn proc trace
       | None, _ ->
           t.anon <- List.filter (fun c -> c != conn) t.anon;
           Conn.close conn)
@@ -316,8 +369,8 @@ let reap t =
   let dead, alive = List.partition (fun (_, c) -> not (Conn.alive c)) t.conns in
   if dead <> [] then begin
     List.iter
-      (fun (p, c) ->
-        Conn.close c;
+      (fun ((p, _) as ended) ->
+        finish t ended;
         t.member_view <- Proc.Map.remove p t.member_view;
         Obs.Metrics.incr t.metrics "soak.disconnects")
       dead;
@@ -414,24 +467,37 @@ let request_snapshots t =
     (fun (_, c) -> if Conn.alive c then Conn.send c Wire.Snapshot_req)
     t.conns
 
+(* Shutdown, then wait (bounded) for every endpoint's EOF: its last
+   report is counted, and its trace file is final when merged.  Only
+   reports are read; traffic between endpoints that are going down is
+   not routed. *)
 let shutdown t =
   List.iter
     (fun (_, c) -> if Conn.alive c then Conn.send c Wire.Shutdown)
     t.conns;
-  let deadline = now () +. 2.0 in
-  let rec drain_out () =
-    let pending =
-      List.exists (fun (_, c) -> Conn.alive c && Conn.pending_out c > 0) t.conns
-    in
-    if pending && now () < deadline then begin
-      List.iter (fun (_, c) -> Conn.flush c) t.conns;
-      (try ignore (Unix.select [] [] [] 0.01)
-       with Unix.Unix_error (EINTR, _, _) -> ());
-      drain_out ()
+  let deadline = now () +. 3.0 in
+  let rec wait () =
+    let ended, open_ = List.partition (fun (_, c) -> not (Conn.alive c)) t.conns in
+    List.iter (finish t) ended;
+    t.conns <- open_;
+    if open_ <> [] && now () < deadline then begin
+      List.iter (fun (_, c) -> Conn.flush c) open_;
+      (match Unix.select (List.map (fun (_, c) -> Conn.fd c) open_) [] [] 0.01 with
+      | rd, _, _ ->
+          List.iter
+            (fun (p, c) ->
+              if List.mem (Conn.fd c) rd then
+                Conn.recv c (function
+                  | (Wire.Delivered _ | Wire.Violation _) as f -> on_frame t p f
+                  | _ -> ()))
+            open_
+      | exception Unix.Unix_error (EINTR, _, _) -> ());
+      wait ()
     end
   in
-  drain_out ();
-  List.iter (fun (_, c) -> Conn.close c) t.conns;
+  wait ();
+  (* stragglers past the deadline: merge whatever whole lines they left *)
+  List.iter (finish t) t.conns;
   List.iter Conn.close t.anon;
   t.conns <- [];
   t.anon <- [];

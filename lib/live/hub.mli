@@ -11,13 +11,22 @@
     ahead of any subsequent packet on each connection, so an endpoint
     always learns its new view before traffic of that view reaches it.
 
-    The collector side parses every [Trace_line] an endpoint ships and
-    feeds it to an {!Obs.Monitor} running the standard rules
-    (unique sequencing, contiguous delivery, prefix consistency) plus a
-    monotone rule over the hub's own ["live.soak"] progress points;
-    violations latch and {!ok} turns false while the soak is still
-    running.  Deliveries observed in the stream drive the throughput
-    and latency accounting ([soak.*] metrics).
+    Checking is split the way the events are (Derecho-style, checked at
+    the source): each endpoint runs the rules that read its own events
+    only ({!Obs.Monitor.local}) and ships a [Violation] frame when one
+    latches; the hub records it in its own {!monitor}
+    ({!Obs.Monitor.record}).  Once per loop turn an endpoint sends a
+    binary [Delivered] report — its deliveries as values, attributed to
+    the connection, and its trace-event count.  From each record the hub
+    keeps the drain and throughput accounting, the latency sample of a
+    payload's first delivery ([soak.*] metrics) and the one rule that
+    spans endpoints, prefix consistency ({!Obs.Monitor.Prefix}); a
+    monotone rule watches the hub's own ["live.soak"] progress points.
+    Violations latch and {!ok} turns false while the soak is still
+    running.  The hub parses no JSON: an endpoint's JSONL trace file,
+    named in its [Hello], is appended to the merged trace, whole lines
+    only, when its connection ends (a SIGKILL, or EOF after
+    [Shutdown]).
 
     Client load: {!inject} sends one payload to a member of the current
     primary view (largest component), round-robin.  Messages in flight
@@ -31,8 +40,8 @@ type config = {
   universe : Prelude.Proc.Set.t;  (** expected endpoint ids *)
   seed : int;  (** proxy fault RNG *)
   merged_path : string option;
-      (** collector output: every endpoint trace line + the hub's own
-          soak events, merged into one JSONL file *)
+      (** one JSONL file: the hub's own soak events as they happen, then
+          each endpoint's trace file as its connection ends *)
 }
 
 type t
@@ -47,9 +56,9 @@ val monitor : t -> Obs.Monitor.t
 val ok : t -> bool
 
 (** One event-loop iteration: accept, read every connection, route
-    packets through the proxy, collect traces, reap dead connections
-    (reissuing views), flush output.  Blocks at most [timeout]
-    seconds. *)
+    packets through the proxy, take reports, reap dead connections
+    (merging their traces, reissuing views), flush output.  Blocks at
+    most [timeout] seconds. *)
 val poll : t -> timeout:float -> unit
 
 val connected : t -> Prelude.Proc.Set.t
@@ -89,6 +98,8 @@ val request_snapshots : t -> unit
 val snapshots :
   t -> (Prelude.Proc.t * (Prelude.Gid.t * (string * Prelude.Proc.t) list) list) list
 
-(** Broadcast [Shutdown], flush briefly, close every connection and the
-    listener, remove the socket file, close the merged trace. *)
+(** Broadcast [Shutdown], then wait up to 3 s for each endpoint's EOF —
+    counting its last reports and merging its final trace file — close
+    every connection and the listener, remove the socket file, close the
+    merged trace. *)
 val shutdown : t -> unit

@@ -2,21 +2,25 @@ open Prelude
 
 type packet = string Vs_impl.Packet.t
 
+type delivery = { gid : Gid.t; sn : int; origin : Proc.t; msg : string }
+
 type frame =
-  | Hello of { proc : Proc.t }
+  | Hello of { proc : Proc.t; trace : string option }
   | Pkt of { src : Proc.t; dst : Proc.t; pkt : packet }
   | View_note of View.t
   | Client of string
   | Trace_line of string
   | Snapshot_req
-  | Snapshot of {
-      proc : Proc.t;
-      views : (Gid.t * (string * Proc.t) list) list;
-    }
+  | Snapshot of { proc : Proc.t; views : (Gid.t * string) list }
   | Shutdown
+  | Delivered of { proc : Proc.t; events : int; records : delivery list }
+  | Violation of Obs.Monitor.violation
 
 let pp ppf = function
-  | Hello { proc } -> Format.fprintf ppf "hello %a" Proc.pp proc
+  | Hello { proc; trace } ->
+      Format.fprintf ppf "hello %a%a" Proc.pp proc
+        (Format.pp_print_option (fun ppf -> Format.fprintf ppf " trace %S"))
+        trace
   | Pkt { src; dst; pkt } ->
       Format.fprintf ppf "pkt %a->%a %a" Proc.pp src Proc.pp dst
         (Vs_impl.Packet.pp Format.pp_print_string)
@@ -29,22 +33,49 @@ let pp ppf = function
       Format.fprintf ppf "snapshot %a (%d views)" Proc.pp proc
         (List.length views)
   | Shutdown -> Format.pp_print_string ppf "shutdown"
+  | Delivered { proc; events; records } ->
+      Format.fprintf ppf "delivered %a (%d events)%a" Proc.pp proc events
+        (Format.pp_print_list (fun ppf d ->
+             Format.fprintf ppf " %a#%d=%a:%S" Gid.pp d.gid d.sn Proc.pp
+               d.origin d.msg))
+        records
+  | Violation v -> Format.fprintf ppf "violation %a" Obs.Monitor.pp_violation v
 
-let prefix_f : (string * Proc.t) list Check.Codec.f =
-  Check.Codec.(list (pair string proc))
-
+let entry_f : (string * Proc.t) Check.Codec.f = Check.Codec.(pair string proc)
+let prefix_f = Check.Codec.list entry_f
 let prefix_codec = Check.Codec.make ~id:"live-prefix" ~version:1 prefix_f
+let prefix_image prefix = Check.Codec.image prefix_f prefix
+let prefix_image_iter iter = Check.Codec.list_image entry_f iter
+let prefix_of_image image = Check.Codec.of_image prefix_f image
 
 let frame_f : frame Check.Codec.f =
   let open Check.Codec in
   let packet_f = Vs_impl.Packet.codec string in
-  let views_f = list (pair gid prefix_f) in
+  let views_f = list (pair gid string) in
+  let delivery_f =
+    {
+      wr =
+        (fun b d ->
+          gid.wr b d.gid;
+          int.wr b d.sn;
+          proc.wr b d.origin;
+          string.wr b d.msg);
+      rd =
+        (fun r ->
+          let gid = gid.rd r in
+          let sn = int.rd r in
+          let origin = proc.rd r in
+          { gid; sn; origin; msg = string.rd r });
+    }
+  in
+  let records_f = list delivery_f and trace_f = option string in
   {
     wr =
       (fun b -> function
-        | Hello { proc = p } ->
+        | Hello { proc = p; trace } ->
             byte.wr b 0;
-            proc.wr b p
+            proc.wr b p;
+            trace_f.wr b trace
         | Pkt { src; dst; pkt } ->
             byte.wr b 1;
             proc.wr b src;
@@ -64,11 +95,23 @@ let frame_f : frame Check.Codec.f =
             byte.wr b 6;
             proc.wr b p;
             views_f.wr b views
-        | Shutdown -> byte.wr b 7);
+        | Shutdown -> byte.wr b 7
+        | Delivered { proc = p; events; records } ->
+            byte.wr b 8;
+            proc.wr b p;
+            int.wr b events;
+            records_f.wr b records
+        | Violation { Obs.Monitor.rule; at_seq; reason } ->
+            byte.wr b 9;
+            string.wr b rule;
+            int.wr b at_seq;
+            string.wr b reason);
     rd =
       (fun r ->
         match byte.rd r with
-        | 0 -> Hello { proc = proc.rd r }
+        | 0 ->
+            let p = proc.rd r in
+            Hello { proc = p; trace = trace_f.rd r }
         | 1 ->
             let src = proc.rd r in
             let dst = proc.rd r in
@@ -81,10 +124,18 @@ let frame_f : frame Check.Codec.f =
             let p = proc.rd r in
             Snapshot { proc = p; views = views_f.rd r }
         | 7 -> Shutdown
+        | 8 ->
+            let p = proc.rd r in
+            let events = int.rd r in
+            Delivered { proc = p; events; records = records_f.rd r }
+        | 9 ->
+            let rule = string.rd r in
+            let at_seq = int.rd r in
+            Violation { Obs.Monitor.rule; at_seq; reason = string.rd r }
         | _ -> raise (Malformed "live-wire frame tag"));
   }
 
-let codec = Check.Codec.make ~id:"live-wire" ~version:1 frame_f
+let codec = Check.Codec.make ~id:"live-wire" ~version:2 frame_f
 
 let encode f = Check.Codec.encode codec f
 let decode b = Check.Codec.decode codec b
@@ -148,13 +199,15 @@ module Reader = struct
           end
           else if pending t < 4 + n then Ok None
           else begin
-            let body = Bytes.sub t.buf (t.off + 4) n in
+            let pos = t.off + 4 in
             t.off <- t.off + 4 + n;
             if t.off = t.len then begin
               t.off <- 0;
               t.len <- 0
             end;
-            match decode body with
+            (* decoded values copy what they keep: the window may be
+               overwritten by the next feed *)
+            match Check.Codec.decode_sub codec t.buf ~pos ~len:n with
             | Ok f -> Ok (Some f)
             | Error e ->
                 t.err <- Some e;

@@ -15,29 +15,50 @@
 
 type packet = string Vs_impl.Packet.t
 
+(** One client delivery an endpoint made: position [sn] of view [gid]'s
+    total order held [msg], sent by [origin]. *)
+type delivery = {
+  gid : Prelude.Gid.t;
+  sn : int;
+  origin : Prelude.Proc.t;
+  msg : string;
+}
+
 type frame =
-  | Hello of { proc : Prelude.Proc.t }
-      (** first frame on a connection: the endpoint names itself *)
+  | Hello of { proc : Prelude.Proc.t; trace : string option }
+      (** first frame on a connection: the endpoint names itself and
+          its local JSONL trace file, if it keeps one *)
   | Pkt of { src : Prelude.Proc.t; dst : Prelude.Proc.t; pkt : packet }
       (** engine traffic, routed (and faulted) by the hub's proxy *)
   | View_note of Prelude.View.t
       (** hub → endpoint: membership service issues a view *)
   | Client of string  (** hub → endpoint: inject one client send *)
   | Trace_line of string
-      (** endpoint → hub: one JSONL {!Obs.Trace} event line, shipped to
-          the collector for online monitoring *)
+      (** one JSONL {!Obs.Trace} event line.  No endpoint sends it any
+          more (they ship {!Delivered} reports); it is kept only because
+          [benchmark/replay.ml] times its encode and decode *)
   | Snapshot_req  (** hub → endpoint: request a delivery snapshot *)
   | Snapshot of {
       proc : Prelude.Proc.t;
-      views : (Prelude.Gid.t * (string * Prelude.Proc.t) list) list;
-          (** per view, the delivered prefix in delivery order
-              ({!Vs_impl.Engine.Make.delivered_prefix}) *)
+      views : (Prelude.Gid.t * string) list;
+          (** per view, the {!prefix_image} of its delivered prefix in
+              delivery order ({!Vs_impl.Engine.Make.delivered_prefix}) *)
     }
   | Shutdown  (** hub → endpoint: drain and exit cleanly *)
+  | Delivered of {
+      proc : Prelude.Proc.t;
+      events : int;  (** trace events emitted in the same loop turn *)
+      records : delivery list;  (** in delivery order *)
+    }
+      (** endpoint → hub, once per loop turn: what it delivered and how
+          many trace events it emitted since its last report *)
+  | Violation of Obs.Monitor.violation
+      (** endpoint → hub: a rule the endpoint runs on its own events
+          ({!Obs.Monitor.local}) latched *)
 
 val pp : Format.formatter -> frame -> unit
 
-(** The framed codec (id ["live-wire"], version 1). *)
+(** The framed codec (id ["live-wire"], version 2). *)
 val codec : frame Check.Codec.t
 
 (** One frame's framed image (no stream length prefix). *)
@@ -50,6 +71,17 @@ val decode : bytes -> (frame, string) result
 (** A delivered prefix as a framed image (id ["live-prefix"]), for
     byte-for-byte cross-process agreement checks. *)
 val prefix_codec : (string * Prelude.Proc.t) list Check.Codec.t
+
+(** The unframed image of a delivered prefix ({!prefix_codec}'s body):
+    how a snapshot carries it, and how an endpoint keeps a retired
+    view's prefix. *)
+val prefix_image : (string * Prelude.Proc.t) list -> string
+
+(** {!prefix_image} of the entries an iterator visits (it runs twice),
+    without building their list. *)
+val prefix_image_iter : (((string * Prelude.Proc.t) -> unit) -> unit) -> string
+
+val prefix_of_image : string -> ((string * Prelude.Proc.t) list, string) result
 
 (** {2 Stream framing} *)
 

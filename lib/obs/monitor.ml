@@ -57,6 +57,13 @@ let violations t =
 
 let ok t = violations t = []
 
+let record t v =
+  Mutex.lock t.mu;
+  let fresh = not (List.exists (fun v' -> String.equal v'.rule v.rule) t.latest) in
+  if fresh then t.latest <- v :: t.latest;
+  Mutex.unlock t.mu;
+  fresh
+
 let events_seen t =
   Mutex.lock t.mu;
   let n = t.seen in
@@ -193,55 +200,63 @@ let entry_is prior ~origin ~msg =
   && same origin 0 0 lo
   && same msg (lo + 1) 0 lm
 
+module Prefix = struct
+  type t = (string, order) Hashtbl.t
+
+  let name = "prefix-consistent"
+  let create () : t = Hashtbl.create 64
+
+  let check views ~gid ~sn ~origin ~msg =
+    let o =
+      match Hashtbl.find_opt views gid with
+      | Some o -> o
+      | None ->
+          let o = { dense = Array.make 16 ""; sparse = Hashtbl.create 1 } in
+          Hashtbl.add views gid o;
+          o
+    in
+    let n = Array.length o.dense in
+    if sn > n && sn <= 2 * n then begin
+      let d = Array.make (2 * n) "" in
+      Array.blit o.dense 0 d 0 n;
+      Hashtbl.filter_map_inplace
+        (fun k entry ->
+          if k > n && k <= 2 * n then begin
+            d.(k - 1) <- entry;
+            None
+          end
+          else Some entry)
+        o.sparse;
+      o.dense <- d
+    end;
+    let in_dense = 1 <= sn && sn <= Array.length o.dense in
+    let prior =
+      if in_dense then o.dense.(sn - 1)
+      else Option.value ~default:"" (Hashtbl.find_opt o.sparse sn)
+    in
+    match prior with
+    | "" ->
+        let entry = origin ^ ":" ^ msg in
+        if in_dense then o.dense.(sn - 1) <- entry
+        else Hashtbl.add o.sparse sn entry;
+        None
+    | prior when entry_is prior ~origin ~msg -> None
+    | prior ->
+        Some
+          (Printf.sprintf
+             "view %s position %d delivered as %s by one member and %s by \
+              another"
+             gid sn prior (origin ^ ":" ^ msg))
+end
+
 let prefix_consistent () =
-  let views : (string, order) Hashtbl.t = Hashtbl.create 64 in
-  rule ~name:"prefix-consistent" (fun e ->
+  let views = Prefix.create () in
+  rule ~name:Prefix.name (fun e ->
       if String.equal e.Trace.cls "deliver" then
         match (p_str "gid" e, p_int "sn" e, p_str "origin" e, p_str "msg" e)
         with
-        | Some gid, Some sn, Some origin, Some msg -> (
-            let o =
-              match Hashtbl.find_opt views gid with
-              | Some o -> o
-              | None ->
-                  let o =
-                    { dense = Array.make 16 ""; sparse = Hashtbl.create 1 }
-                  in
-                  Hashtbl.add views gid o;
-                  o
-            in
-            let n = Array.length o.dense in
-            if sn > n && sn <= 2 * n then begin
-              let d = Array.make (2 * n) "" in
-              Array.blit o.dense 0 d 0 n;
-              Hashtbl.filter_map_inplace
-                (fun k entry ->
-                  if k > n && k <= 2 * n then begin
-                    d.(k - 1) <- entry;
-                    None
-                  end
-                  else Some entry)
-                o.sparse;
-              o.dense <- d
-            end;
-            let in_dense = 1 <= sn && sn <= Array.length o.dense in
-            let prior =
-              if in_dense then o.dense.(sn - 1)
-              else Option.value ~default:"" (Hashtbl.find_opt o.sparse sn)
-            in
-            match prior with
-            | "" ->
-                let entry = origin ^ ":" ^ msg in
-                if in_dense then o.dense.(sn - 1) <- entry
-                else Hashtbl.add o.sparse sn entry;
-                None
-            | prior when entry_is prior ~origin ~msg -> None
-            | prior ->
-                Some
-                  (Printf.sprintf
-                     "view %s position %d delivered as %s by one member and \
-                      %s by another"
-                     gid sn prior (origin ^ ":" ^ msg)))
+        | Some gid, Some sn, Some origin, Some msg ->
+            Prefix.check views ~gid ~sn ~origin ~msg
         | _ -> None
       else None)
 
@@ -274,6 +289,8 @@ let monotone ?name ~component ~key () =
 let monotone_progress () =
   monotone ~name:"monotone-progress" ~component:"check.explorer" ~key:"states"
     ()
+
+let local () = [ unique_sequencing (); contiguous_delivery () ]
 
 let standard () =
   [

@@ -36,6 +36,13 @@ val violations : t -> violation list
 val ok : t -> bool
 val events_seen : t -> int
 
+(** [record t v] latches [v] as if one of [t]'s rules had completed it:
+    the entry point for a rule checked outside this monitor (at an
+    endpoint, or by a typed check such as {!Prefix}).  Returns [true]
+    when [v] is the first violation of [v.rule] that [t] holds; a later
+    one is dropped, since a rule latches after its first violation. *)
+val record : t -> violation -> bool
+
 (** The monitor as a sink: every event emitted through it is fed to the
     rules; each fresh violation is additionally emitted on [out] as a
     ["violation"] point (component ["obs.monitor"]) carrying the rule
@@ -60,6 +67,25 @@ val contiguous_delivery : unit -> rule
     view's total order. *)
 val prefix_consistent : unit -> rule
 
+(** The state and check behind {!prefix_consistent}, for a caller that
+    holds deliveries as values rather than events (the live hub's
+    delivery reports). *)
+module Prefix : sig
+  type t
+
+  (** ["prefix-consistent"], the rule's name. *)
+  val name : string
+
+  val create : unit -> t
+
+  (** [check t ~gid ~sn ~origin ~msg]: [Some reason] when another
+      member delivered a different entry at position [sn] of view
+      [gid] — exactly when {!prefix_consistent} flags the matching
+      ["deliver"] event. *)
+  val check :
+    t -> gid:string -> sn:int -> origin:string -> msg:string -> string option
+end
+
 (** A named integer payload key on events of [component] never
     decreases — the generic monotone-progress shape.  [?name] defaults
     to ["monotone-<component>.<key>"]. *)
@@ -69,4 +95,19 @@ val monotone : ?name:string -> component:string -> key:string -> unit -> rule
     ([monotone ~component:"check.explorer" ~key:"states"]). *)
 val monotone_progress : unit -> rule
 
+(** {2 Checking at the source}
+
+    Of the {!standard} rules, {!unique_sequencing} (keyed by the
+    receiving sequencer) and {!contiguous_delivery} (keyed by
+    process and view) each read one process's events only; run them
+    where those events happen and ship only their violations.  The
+    rest need every process's deliveries ({!Prefix}) or a single
+    observer's progress points ({!monotone}). *)
+
+(** The rules local to one process: [unique_sequencing] and
+    [contiguous_delivery], fresh. *)
+val local : unit -> rule list
+
+(** Every rule above but [monotone] on one stream: the two {!local}
+    rules, [prefix_consistent] and [monotone_progress]. *)
 val standard : unit -> rule list

@@ -290,14 +290,18 @@ let read_jsonl ic =
    line may be torn mid-write (the [to_channel] sink flushes per event,
    so every earlier line is complete).  Decode the valid prefix and
    report where it stopped instead of failing the whole file. *)
-let read_jsonl_prefix ic =
+let fold_jsonl_prefix ic init f =
   let rec go lineno acc =
     match input_line ic with
-    | exception End_of_file -> (List.rev acc, None)
+    | exception End_of_file -> (acc, None)
     | "" -> go (lineno + 1) acc
     | line -> (
         match event_of_string line with
-        | Ok e -> go (lineno + 1) (e :: acc)
-        | Error msg -> (List.rev acc, Some (lineno, msg)))
+        | Ok e -> go (lineno + 1) (f acc e)
+        | Error msg -> (acc, Some (lineno, msg)))
   in
-  go 1 []
+  go 1 init
+
+let read_jsonl_prefix ic =
+  let rev, torn = fold_jsonl_prefix ic [] (fun acc e -> e :: acc) in
+  (List.rev rev, torn)

@@ -123,3 +123,8 @@ val read_jsonl : in_channel -> (event list, int * string) result
     process observed before it died, which is what the online monitors
     replay. *)
 val read_jsonl_prefix : in_channel -> event list * (int * string) option
+
+(** {!read_jsonl_prefix} folded event by event, holding no list: for a
+    trace too long to keep in memory. *)
+val fold_jsonl_prefix :
+  in_channel -> 'a -> ('a -> event -> 'a) -> 'a * (int * string) option

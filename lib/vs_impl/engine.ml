@@ -267,12 +267,23 @@ module Make (M : Msg_intf.S) = struct
   (* My messages sequenced so far, as far as I can tell: each own-origin
      entry of the view's order that reached my [rcv_buf] certifies one
      accepted forward.  A lower bound — re-sending an already-accepted
-     [fsn] is discarded by the watermark, so underestimating is safe. *)
+     [fsn] is discarded by the watermark, so underestimating is safe.
+     [rcv_buf] keys sort by gid, then sn, so one split drops every
+     earlier view's entries (the bulk of a long run's buffer) and the
+     fold walks view [g] and any later one; a buffer that starts at [g]
+     needs no split. *)
   let own_sequenced st g =
-    Pg_map.fold
-      (fun (g', _) (_, origin) n ->
-        if Gid.equal g' g && Proc.equal origin st.me then n + 1 else n)
-      st.rcv_buf 0
+    let mine (g', _) (_, origin) n =
+      if Gid.equal g' g && Proc.equal origin st.me then n + 1 else n
+    in
+    if Pg_map.is_empty st.rcv_buf then 0
+    else
+      let (g0, _), _ = Pg_map.min_binding st.rcv_buf in
+      if Gid.ge g0 g then Pg_map.fold mine st.rcv_buf 0
+      else
+        let _, first, from = Pg_map.split (g, min_int) st.rcv_buf in
+        let n = match first with Some e -> mine (g, min_int) e 0 | None -> 0 in
+        Pg_map.fold mine from n
 
   (* Re-sends of possibly-lost packets, all within the current view and
      all idempotent at the receiver (forward watermark, [rcv_buf] add,
@@ -381,17 +392,24 @@ module Make (M : Msg_intf.S) = struct
 
   (* The delivered prefix of a view's total order, in delivery order —
      positions (g, 1 .. next_deliver-1) of [rcv_buf].  Everything
-     delivered is necessarily buffered (delivery reads the buffer and
-     nothing evicts), so the walk is total over the prefix.  [rcv_buf]
+     delivered is necessarily buffered (delivery reads the buffer, and
+     only [retire] evicts, whole superseded views), so the walk is total
+     over the prefix.  [rcv_buf]
      keys sort by gid, then sn, so two splits cut out exactly the keys
      (g, 1 .. upto), and one fold lists them, with no [Seq] node per
      entry.  Live runtime snapshots compare these byte-for-byte across
      members. *)
-  let delivered_prefix st g =
+  let delivered_range st g =
     let upto = next_deliver_of st g - 1 in
     let _, _, from_1 = Pg_map.split (g, 0) st.rcv_buf in
     let prefix, _, _ = Pg_map.split (g, upto + 1) from_1 in
-    List.rev (Pg_map.fold (fun _ v acc -> v :: acc) prefix [])
+    prefix
+
+  let delivered_prefix st g =
+    List.rev (Pg_map.fold (fun _ v acc -> v :: acc) (delivered_range st g) [])
+
+  let iter_delivered st g f =
+    Pg_map.iter (fun _ v -> f v) (delivered_range st g)
 
   let safe_ready st =
     match st.cur with
@@ -424,6 +442,44 @@ module Make (M : Msg_intf.S) = struct
                 ("sn", Obs.Trace.Int sn);
               ]);
         { st with next_safe = Gid.Map.add g (sn + 1) st.next_safe }
+
+  (* Every per-view entry of a view below the current one, dropped.
+     With [drop_stale] no later packet touches such a view, and the
+     local outputs that still read one (rebroadcasts, acks, stable
+     announcements of a superseded view) are stale at every receiver
+     that could get them.  [rcv_buf] and the [Pg_map]s keyed by
+     (proc, gid) hold the bulk; one split cuts the first, the rest are
+     a few entries per view. *)
+  let retire st =
+    match st.cur with
+    | None -> st
+    | Some v ->
+        let g = View.id v in
+        let from_g m =
+          let _, at, above = Gid.Map.split g m in
+          match at with Some x -> Gid.Map.add g x above | None -> above
+        in
+        let pg_from_g m = Pg_map.filter (fun (_, g') _ -> Gid.ge g' g) m in
+        let rcv_buf =
+          let _, at, above = Pg_map.split (g, min_int) st.rcv_buf in
+          match at with Some x -> Pg_map.add (g, min_int) x above | None -> above
+        in
+        {
+          st with
+          views_seen = from_g st.views_seen;
+          outq = from_g st.outq;
+          fwd_log = from_g st.fwd_log;
+          seq_log = from_g st.seq_log;
+          fwd_seen = pg_from_g st.fwd_seen;
+          bcast_sent = pg_from_g st.bcast_sent;
+          acked_by = pg_from_g st.acked_by;
+          stable_sent = pg_from_g st.stable_sent;
+          rcv_buf;
+          next_deliver = from_g st.next_deliver;
+          next_safe = from_g st.next_safe;
+          acked_upto = from_g st.acked_upto;
+          stable_upto = from_g st.stable_upto;
+        }
 
   let pp ppf st =
     Format.fprintf ppf "engine %a: cur=%a, %d views seen" Proc.pp st.me

@@ -143,6 +143,11 @@ module Make (M : Prelude.Msg_intf.S) : sig
       is in flight. *)
   val retransmit_sends : state -> (Prelude.Proc.t * packet) list
 
+  (** The own-origin entries of view [g] in [rcv_buf]: how many of my
+      forwards in [g] I know were sequenced (a lower bound), where
+      {!retransmit_sends} resumes re-sending. *)
+  val own_sequenced : state -> Prelude.Gid.t -> int
+
   (** The client delivery currently enabled: [vs-gprcv (origin, payload)]. *)
   val deliverable : state -> (Prelude.Proc.t * M.t) option
 
@@ -155,6 +160,20 @@ module Make (M : Prelude.Msg_intf.S) : sig
       snapshots encode this list for cross-process comparison. *)
   val delivered_prefix :
     state -> Prelude.Gid.t -> (M.t * Prelude.Proc.t) list
+
+  (** [iter_delivered st g f] applies [f] to the entries of
+      [delivered_prefix st g], in order, without building the list. *)
+  val iter_delivered :
+    state -> Prelude.Gid.t -> (M.t * Prelude.Proc.t -> unit) -> unit
+
+  (** [retire st] drops every per-view entry of the views below the
+      current one (delivered prefixes included).  For the live runtime,
+      whose engines run with [drop_stale]: no input reads those entries
+      again, and the outputs that would (sends of a superseded view) are
+      stale wherever they arrive.  The current view's — and any later
+      view's — entries, and so every current-view output, are
+      unchanged. *)
+  val retire : state -> state
 
   (** The safe indication currently enabled. *)
   val safe_ready : state -> (Prelude.Proc.t * M.t) option

@@ -19,7 +19,8 @@ let sample_view = View.make ~id:(Gid.succ Gid.g0) ~set:(Proc.Set.universe 3)
 
 let sample_frames : W.frame list =
   [
-    W.Hello { proc = 2 };
+    W.Hello { proc = 2; trace = Some "trace-2.jsonl" };
+    W.Hello { proc = 0; trace = None };
     W.Pkt { src = 0; dst = 1; pkt = P.Fwd { gid = Gid.g0; fsn = 1; payload = "hello" } };
     W.Pkt
       {
@@ -38,11 +39,28 @@ let sample_frames : W.frame list =
         proc = 1;
         views =
           [
-            (Gid.g0, [ ("a", 0); ("b", 2) ]);
-            (Gid.succ Gid.g0, [ ("", 1) ]);
+            (Gid.g0, W.prefix_image [ ("a", 0); ("b", 2) ]);
+            (Gid.succ Gid.g0, W.prefix_image [ ("", 1) ]);
           ];
       };
     W.Shutdown;
+    W.Delivered
+      {
+        proc = 1;
+        events = 5;
+        records =
+          [
+            { W.gid = Gid.succ Gid.g0; sn = 1; origin = 0; msg = "m0" };
+            { W.gid = Gid.succ Gid.g0; sn = 2; origin = 2; msg = "" };
+          ];
+      };
+    W.Delivered { proc = 0; events = 1; records = [] };
+    W.Violation
+      {
+        Obs.Monitor.rule = "unique-sequencing";
+        at_seq = 42;
+        reason = "forward (src p0, view g1, fsn 3) sequenced twice at p1";
+      };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -59,6 +77,22 @@ let test_wire_roundtrip () =
             (Format.asprintf "%a" W.pp f)
             e)
     sample_frames
+
+(* A prefix image written from an iterator is the image of the list,
+   and decodes back to it. *)
+let test_prefix_image_iter () =
+  let rng = Random.State.make [| 7 |] in
+  for n = 0 to 300 do
+    let prefix =
+      List.init (n * n mod 1000) (fun i ->
+          (String.make (Random.State.int rng 200) (Char.chr (i mod 256)), i mod 5))
+    in
+    let image = W.prefix_image_iter (fun f -> List.iter f prefix) in
+    Alcotest.(check string) "iterated image = list image" (W.prefix_image prefix)
+      image;
+    if W.prefix_of_image image <> Ok prefix then
+      Alcotest.fail "image does not decode back"
+  done
 
 (* every strict prefix of a frame image is rejected — short reads can
    never mis-decode *)
@@ -381,7 +415,9 @@ let big_snapshot () =
         views =
           [
             ( Gid.succ Gid.g0,
-              List.init 300_000 (fun i -> (Printf.sprintf "m%d" i, i mod 3)) );
+              W.prefix_image
+                (List.init 300_000 (fun i -> (Printf.sprintf "m%d" i, i mod 3)))
+            );
           ];
       }
   in
@@ -533,6 +569,74 @@ let test_conn_flush_syscalls () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Hub: reports and violations from a raw connection                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A report is the sending connection's, whatever proc the frame names
+   (as for Pkt); a Violation frame latches in the hub's own monitor. *)
+let test_hub_reports () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dvs-test-hub-%d.sock" (Unix.getpid ()))
+  in
+  let hub =
+    Live.Hub.create
+      {
+        Live.Hub.sock_path = sock;
+        universe = Proc.Set.universe 2;
+        seed = 1;
+        merged_path = None;
+      }
+  in
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX sock);
+  let c = Live.Conn.create fd in
+  let send_until frame ready =
+    Live.Conn.send c frame;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while (not (ready ())) && Unix.gettimeofday () < deadline do
+      Live.Conn.flush c;
+      Live.Hub.poll hub ~timeout:0.01
+    done
+  in
+  send_until
+    (W.Hello { proc = 0; trace = None })
+    (fun () -> Proc.Set.mem 0 (Live.Hub.connected hub));
+  let g = Gid.succ Gid.g0 in
+  send_until
+    (W.Delivered
+       {
+         proc = 1;
+         events = 3;
+         records =
+           [
+             { W.gid = g; sn = 1; origin = 1; msg = "x" };
+             { W.gid = g; sn = 2; origin = 0; msg = "y" };
+           ];
+       })
+    (fun () -> Live.Hub.delivered_total hub = 2);
+  Alcotest.(check int) "both records counted" 2 (Live.Hub.delivered_total hub);
+  Alcotest.(check int) "attributed to the connection" 2
+    (Live.Hub.delivered_in hub ~proc:0 ~gid:g);
+  Alcotest.(check int) "not to the proc the frame names" 0
+    (Live.Hub.delivered_in hub ~proc:1 ~gid:g);
+  Alcotest.(check int) "events counted" 3
+    (Obs.Metrics.count (Live.Hub.metrics hub) "soak.trace_events");
+  Alcotest.(check bool) "clean so far" true (Live.Hub.ok hub);
+  let v =
+    { Obs.Monitor.rule = "unique-sequencing"; at_seq = 7; reason = "seeded" }
+  in
+  send_until (W.Violation v) (fun () -> not (Live.Hub.ok hub));
+  Alcotest.(check (list string)) "the endpoint's latch is the hub's"
+    [ "unique-sequencing" ]
+    (List.map
+       (fun v -> v.Obs.Monitor.rule)
+       (Obs.Monitor.violations (Live.Hub.monitor hub)));
+  Live.Conn.close c;
+  Live.Hub.shutdown hub
+
+(* ------------------------------------------------------------------ *)
 (* In-process live run (domain mode)                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -636,9 +740,17 @@ let test_live_domains () =
               vs1)
         images)
     images;
+  (* the reports and the endpoints' own state agree: every delivery
+     reported is one position of a snapshot prefix *)
+  Alcotest.(check int) "delivered_total = the reported records"
+    (List.fold_left
+       (fun n (_, views) ->
+         List.fold_left (fun n (_, prefix) -> n + List.length prefix) n views)
+       0 snaps)
+    (Live.Hub.delivered_total hub);
   Alcotest.(check bool) "monitors clean" true (Live.Hub.ok hub);
   let metrics = Live.Hub.metrics hub in
-  Alcotest.(check bool) "the collector saw trace events" true
+  Alcotest.(check bool) "the reports counted trace events" true
     (Obs.Metrics.count metrics "soak.trace_events" > 0);
   Alcotest.(check int) "no trace line rejected" 0
     (Obs.Metrics.count metrics "soak.trace_parse_errors");
@@ -653,6 +765,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "truncation" `Quick test_wire_truncation;
           Alcotest.test_case "mutation" `Quick test_wire_mutation;
+          Alcotest.test_case "prefix image" `Quick test_prefix_image_iter;
         ] );
       ( "reader",
         [
@@ -676,5 +789,8 @@ let () =
             test_conn_flush_syscalls;
         ] );
       ( "runtime",
-        [ Alcotest.test_case "domain-mode-soak" `Quick test_live_domains ] );
+        [
+          Alcotest.test_case "hub reports" `Quick test_hub_reports;
+          Alcotest.test_case "domain-mode-soak" `Quick test_live_domains;
+        ] );
     ]

@@ -3,8 +3,8 @@
    delivering, the victim respawns and rejoins, the final view drains,
    and the totally-ordered prefixes of all three agree byte-for-byte
    (framed codec images).  The SIGKILL'd daemon's crash-safe JSONL trace
-   must decode as a clean prefix that holds every event the hub merged
-   from it — plus a deterministic torn-file test for
+   must decode as a clean prefix, and the hub's merged trace must hold
+   exactly its whole lines — plus a deterministic torn-file test for
    [Obs.Trace.read_jsonl_prefix] itself. *)
 
 open Prelude
@@ -163,7 +163,19 @@ let test_crash_restart () =
       | Ok _ -> ()
       | Error err -> Alcotest.failf "victim event does not round-trip: %s" err)
     events;
-  let victim_file = events in
+  (* its file at death, as the hub merges it: whole lines only *)
+  let victim_file =
+    let s = In_channel.with_open_bin (trace 2) In_channel.input_all in
+    match String.rindex_opt s '\n' with
+    | None -> []
+    | Some i ->
+        List.map
+          (fun line ->
+            match Obs.Trace.event_of_string line with
+            | Ok e -> e
+            | Error err -> Alcotest.failf "victim line does not decode: %s" err)
+          (String.split_on_char '\n' (String.sub s 0 i))
+  in
   (* respawn: the fleet re-forms at 3 and keeps delivering *)
   pids.(2) <- spawn_dvsd ~sock ~trace:(trace 2) 2;
   wait_members 3;
@@ -225,11 +237,11 @@ let test_crash_restart () =
     (Live.Hub.ok hub);
   Live.Hub.shutdown hub;
   Array.iter reap pids;
-  (* The endpoint flushes its trace file before its socket, so every
-     event the hub merged from the victim's first life — up to the
-     SIGKILL — is in the victim's file, in the same order: a prefix of
-     what the file decoded to.  The respawned victim's events follow in
-     the merged file, numbered from seq 0 again. *)
+  (* The hub appends an endpoint's trace file to the merged trace when
+     its connection ends — for the victim, at the SIGKILL, before the
+     respawn reopens the file — so the victim's first-life events in the
+     merged file are exactly the whole lines of its file at death.  The
+     respawned victim's events follow, numbered from seq 0 again. *)
   let ic = open_in merged in
   let all, torn = Obs.Trace.read_jsonl_prefix ic in
   close_in ic;
@@ -250,23 +262,12 @@ let test_crash_restart () =
   let merged_before_kill = first_life (-1) from_victim in
   Alcotest.(check bool) "the hub merged events from the victim" true
     (merged_before_kill <> []);
-  let rec is_prefix xs ys =
-    match (xs, ys) with
-    | [], _ -> true
-    | x :: xs, y :: ys ->
-        String.equal
-          (Obs.Trace.event_to_string x)
-          (Obs.Trace.event_to_string y)
-        && is_prefix xs ys
-    | _ :: _, [] -> false
-  in
   Alcotest.(check bool)
-    (Printf.sprintf
-       "%d merged victim events are a prefix of its %d file events"
+    (Printf.sprintf "%d merged victim events equal its %d file events"
        (List.length merged_before_kill)
        (List.length victim_file))
     true
-    (is_prefix merged_before_kill victim_file)
+    (List.equal Obs.Trace.equal_event merged_before_kill victim_file)
 
 let () =
   Alcotest.run "live-crash"

@@ -439,6 +439,132 @@ let test_compact_rules_match_oracle () =
         (n latched >= 100 && n clean >= 100))
     [ "unique-sequencing"; "prefix-consistent" ]
 
+(* ------------------------------------------------------------------ *)
+(* Checking at the source vs. the whole-stream monitor                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The arrangement the live fleet runs: each process's own events (those
+   whose "p" names it) through a monitor of its own [Obs.Monitor.local]
+   rules, as an endpoint does; every delivery as values through one
+   [Obs.Monitor.Prefix], as the hub does with the reports; the events of
+   no process (the hub's own) through the monotone rule.  The first
+   latch of each rule, as (rule, seq of the latching event), sorted. *)
+let split_latches events =
+  let locals = Hashtbl.create 4 in
+  let local p =
+    match Hashtbl.find_opt locals p with
+    | Some m -> m
+    | None ->
+        let m = Obs.Monitor.create (Obs.Monitor.local ()) in
+        Hashtbl.add locals p m;
+        m
+  in
+  let prefix = Obs.Monitor.Prefix.create () in
+  let hub = Obs.Monitor.create [ Obs.Monitor.monotone_progress () ] in
+  let latched = ref [] in
+  let latch rule seq =
+    if not (List.mem_assoc rule !latched) then latched := (rule, seq) :: !latched
+  in
+  let record = List.iter (fun v -> latch v.Obs.Monitor.rule v.Obs.Monitor.at_seq) in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      (match p_str "p" e with
+      | Some p -> record (Obs.Monitor.feed (local p) e)
+      | None -> record (Obs.Monitor.feed hub e));
+      if String.equal e.cls "deliver" then
+        match (p_str "gid" e, p_int "sn" e, p_str "origin" e, p_str "msg" e) with
+        | Some gid, Some sn, Some origin, Some msg -> (
+            match Obs.Monitor.Prefix.check prefix ~gid ~sn ~origin ~msg with
+            | Some _ -> latch Obs.Monitor.Prefix.name e.seq
+            | None -> ())
+        | _ -> ())
+    events;
+  List.sort compare !latched
+
+let whole_latches events =
+  let m = Obs.Monitor.create (Obs.Monitor.standard ()) in
+  List.iter (fun e -> ignore (Obs.Monitor.feed m e)) events;
+  List.sort compare
+    (List.map (fun v -> (v.Obs.Monitor.rule, v.Obs.Monitor.at_seq))
+       (Obs.Monitor.violations m))
+
+let pp_latches l =
+  String.concat ", " (List.map (fun (r, s) -> Printf.sprintf "%s@%d" r s) l)
+
+(* Same rules latch, on the same events; returns the latches. *)
+let split_agrees what events =
+  let want = whole_latches events and got = split_latches events in
+  if got <> want then
+    Alcotest.failf "%s: split latched [%s], whole stream [%s]" what
+      (pp_latches got) (pp_latches want);
+  got
+
+let recorded f =
+  let acc = ref [] in
+  f (Obs.Trace.callback (fun e -> acc := e :: !acc));
+  List.rev !acc
+
+let test_split_matches_whole () =
+  let deliveries = ref 0 and latches = ref [] in
+  let check what events =
+    deliveries :=
+      !deliveries
+      + List.length
+          (List.filter (fun (e : Obs.Trace.event) -> e.cls = "deliver") events);
+    latches := split_agrees what events @ !latches
+  in
+  (* golden runs, the faulty-transport entry among them *)
+  List.iter
+    (fun (Reg.Entry e) ->
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| seed |] in
+          let exec, _ =
+            Ioa.Exec.run e.subject.An.automaton ~rng ~steps:400
+              ~init:e.subject.An.init
+          in
+          check
+            (Printf.sprintf "%s seed %d" e.name seed)
+            (recorded (fun sink -> restep e.subject sink exec)))
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    (List.filter instrumented (Reg.all ()));
+  (* corpus re-drives: the seeded defects' schedules *)
+  List.iter
+    (fun path ->
+      match Check.Cex.load ~path with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok rs ->
+          List.iter
+            (fun (r : Check.Cex.t) ->
+              match Reg.find (registry ()) r.entry with
+              | None -> Alcotest.failf "unknown entry %S" r.entry
+              | Some (Reg.Entry e) ->
+                  let o = An.oracle e.subject ~seed:r.seed in
+                  let v = Check.Shrink.replay o r.actions in
+                  let events =
+                    recorded (fun sink -> restep e.subject sink v.Check.Shrink.exec)
+                  in
+                  let got = split_agrees r.entry events in
+                  if expected_latch r.entry = Some "unique-sequencing" then
+                    Alcotest.(check bool)
+                      (r.entry ^ ": No_dedup latches at the endpoint")
+                      true
+                      (List.mem_assoc "unique-sequencing" got))
+            rs)
+    (corpus_files ());
+  (* random streams with duplicates, gaps, conflicts and malformed
+     payloads (the compact-state generator) *)
+  let rng = Random.State.make [| 17 |] in
+  for i = 1 to 500 do
+    check (Printf.sprintf "random stream %d" i) (gen_stream rng)
+  done;
+  Alcotest.(check bool) "the runs delivered" true (!deliveries > 1000);
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) (rule ^ " latched somewhere") true
+        (List.mem_assoc rule !latches))
+    [ "unique-sequencing"; "contiguous-delivery"; "prefix-consistent" ]
+
 let () =
   Alcotest.run "monitor-audit"
     [
@@ -458,5 +584,10 @@ let () =
         [
           Alcotest.test_case "latches as the table-based rules" `Quick
             test_compact_rules_match_oracle;
+        ] );
+      ( "at-the-source",
+        [
+          Alcotest.test_case "split latches as the whole stream" `Quick
+            test_split_matches_whole;
         ] );
     ]

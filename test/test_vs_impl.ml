@@ -369,6 +369,79 @@ let prop_delivered_prefix =
       in
       E.delivered_prefix st g = reference)
 
+(* [own_sequenced] cuts view g's entries out of [rcv_buf]; the reference
+   folds over the whole buffer.  Random buffers with other views'
+   entries, every origin, and positions at the extremes of int (the
+   split keys' own bindings), must agree. *)
+let prop_own_sequenced =
+  let sn = QCheck.Gen.(oneof [ int_range (-2) 30; oneofl [ min_int; max_int ] ]) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 60) (triple (int_range 0 3) sn (int_range 0 2)))
+        (pair (int_range 0 2) (int_range 0 4)))
+  in
+  QCheck.Test.make ~count:500 ~name:"own_sequenced = whole-buffer fold"
+    (QCheck.make gen) (fun (entries, (me, g)) ->
+      let st = E.initial ~p0 me in
+      let st =
+        {
+          st with
+          E.rcv_buf =
+            List.fold_left
+              (fun m (g, sn, o) -> Pg_map.add (g, sn) (Printf.sprintf "m%d" sn, o) m)
+              Pg_map.empty entries;
+        }
+      in
+      let reference =
+        Pg_map.fold
+          (fun (g', _) (_, origin) n ->
+            if Gid.equal g' g && Proc.equal origin me then n + 1 else n)
+          st.E.rcv_buf 0
+      in
+      E.own_sequenced st g = reference)
+
+(* [retire] drops the views below the current one and changes nothing
+   the current view's behaviour reads: over random executions with view
+   changes, every engine state and its retired form agree on the
+   current view's outputs and delivered prefix, and on every send of a
+   view not below it. *)
+let test_retire_keeps_current_view () =
+  let retired_some = ref 0 in
+  let not_below cur sends =
+    List.filter
+      (fun (_, pkt) -> Gid.ge (Vs_impl.Packet.gid pkt) cur)
+      sends
+  in
+  for seed = 1 to 10 do
+    let exec = make_exec ~seed ~steps:400 ~universe:3 in
+    List.iter
+      (fun (s : Stk.state) ->
+        List.iter
+          (fun p ->
+            let e = Stk.engine s p in
+            match e.E.cur with
+            | None -> ()
+            | Some v ->
+                let g = View.id v and r = E.retire e in
+                if Gid.Map.cardinal r.E.views_seen < Gid.Map.cardinal e.E.views_seen
+                then incr retired_some;
+                let same what a b =
+                  if a <> b then Alcotest.failf "seed %d, p%d: %s differs" seed p what
+                in
+                same "fwd_send" (E.fwd_send e) (E.fwd_send r);
+                same "retransmit_sends" (E.retransmit_sends e) (E.retransmit_sends r);
+                same "deliverable" (E.deliverable e) (E.deliverable r);
+                same "safe_ready" (E.safe_ready e) (E.safe_ready r);
+                same "delivered_prefix" (E.delivered_prefix e g) (E.delivered_prefix r g);
+                same "bcast_sends" (not_below g (E.bcast_sends e)) (E.bcast_sends r);
+                same "ack_sends" (not_below g (E.ack_sends e)) (E.ack_sends r);
+                same "stable_sends" (not_below g (E.stable_sends e)) (E.stable_sends r))
+          [ 0; 1; 2 ])
+      (Ioa.Exec.states exec)
+  done;
+  Alcotest.(check bool) "some states had views to retire" true (!retired_some > 100)
+
 let () =
   Alcotest.run "vs-impl"
     [
@@ -385,6 +458,9 @@ let () =
           Alcotest.test_case "classical guarantees on the engine" `Quick
             test_classical_guarantees_on_engine;
           QCheck_alcotest.to_alcotest prop_delivered_prefix;
+          QCheck_alcotest.to_alcotest prop_own_sequenced;
+          Alcotest.test_case "retire keeps the current view" `Quick
+            test_retire_keeps_current_view;
         ] );
       ( "faults",
         [
