@@ -77,6 +77,10 @@ let vs_spec_class = function
   | Vsg.Spec.Gprcv _ -> "gprcv"
   | Vsg.Spec.Safe _ -> "safe"
 
+(* The spec schemas' families are their descriptions' (DESIGN.md §13),
+   derived once rather than on every [all ()]. *)
+let vs_spec_project = Check.Record.project Vsg.Spec.record Check.Codec.string
+
 (* Figure 1's state decomposes cleanly into its six fields.  Every class
    is either external ([gpsnd]/[newview]/[gprcv]/[safe]) or writes an
    invariant-read family ([createview] → [created], [order] → [queue]),
@@ -139,40 +143,6 @@ let vs_spec_schema () : (Vsg.Spec.state, Vsg.Spec.action) Footprint.schema =
           eff ~inst:(pg dst gid) Write "next_safe";
         ]
   in
-  let project (s : Vsg.Spec.state) =
-    let seq_msgs q = String.concat "," (List.map Fun.id (Seqs.to_list q)) in
-    let seq_ordered q =
-      String.concat ","
-        (List.map (fun (m, p) -> Printf.sprintf "%s.%d" m p) (Seqs.to_list q))
-    in
-    [
-      ( "created",
-        View.Set.fold
-          (fun v acc -> acc ^ Format.asprintf "%a;" View.pp v)
-          s.created "" );
-      ( "viewids",
-        Proc.Map.fold
-          (fun p g acc -> acc ^ Format.asprintf "%d=%a;" p Gid.Bot.pp g)
-          s.current_viewid "" );
-      ( "queue",
-        Gid.Map.fold
-          (fun g q acc -> acc ^ Printf.sprintf "%d=%s;" g (seq_ordered q))
-          s.queue "" );
-      ( "pending",
-        Pg_map.fold
-          (fun (p, g) q acc ->
-            acc ^ Printf.sprintf "%d.%d=%s;" p g (seq_msgs q))
-          s.pending "" );
-      ( "next",
-        Pg_map.fold
-          (fun (p, g) n acc -> acc ^ Printf.sprintf "%d.%d=%d;" p g n)
-          s.next "" );
-      ( "next_safe",
-        Pg_map.fold
-          (fun (p, g) n acc -> acc ^ Printf.sprintf "%d.%d=%d;" p g n)
-          s.next_safe "" );
-    ]
-  in
   {
     components =
       [
@@ -195,7 +165,7 @@ let vs_spec_schema () : (Vsg.Spec.state, Vsg.Spec.action) Footprint.schema =
        queues and both pointer arrays *)
     invariant_reads = [ "created"; "queue"; "next"; "next_safe" ];
     frozen = (fun _ -> []);
-    project;
+    project = vs_spec_project;
   }
 
 (* [`All_subsets] view proposals and a single payload make the generator
@@ -440,6 +410,8 @@ let to_spec_class = function
   | To.Order _ -> "order"
   | To.Brcv _ -> "brcv"
 
+let to_spec_project = Check.Record.project To.record Check.Codec.unit
+
 (* Section 6's three-field state.  [order] writes the invariant-read
    total order and the two client classes are external, so — like the VS
    spec — the schema certifies conflicts but never forms an ample set;
@@ -463,26 +435,6 @@ let to_spec_schema () : (To.state, To.action) Footprint.schema =
           eff ~inst:(i dst) Write "next";
         ]
   in
-  let project (s : To.state) =
-    [
-      ( "pending",
-        Proc.Map.fold
-          (fun p q acc ->
-            acc
-            ^ Printf.sprintf "%d=%s;" p
-                (String.concat "," (Seqs.to_list q)))
-          s.To.pending "" );
-      ( "order",
-        String.concat ","
-          (List.map
-             (fun (m, p) -> Printf.sprintf "%s.%d" m p)
-             (Seqs.to_list s.To.order)) );
-      ( "next",
-        Proc.Map.fold
-          (fun p n acc -> acc ^ Printf.sprintf "%d=%d;" p n)
-          s.To.next "" );
-    ]
-  in
   {
     components =
       [
@@ -499,7 +451,7 @@ let to_spec_schema () : (To.state, To.action) Footprint.schema =
     serialized = (fun _ -> false);
     invariant_reads = [ "order"; "next" ];
     frozen = (fun _ -> []);
-    project;
+    project = to_spec_project;
   }
 
 (* The exact generator never touches its RNG and every field is keyed by

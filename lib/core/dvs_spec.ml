@@ -168,28 +168,34 @@ module Make (M : Msg_intf.S) = struct
     | Createview _ | Order _ -> false
     | Newview _ | Register _ | Gpsnd _ | Gprcv _ | Safe _ -> true
 
-  let compare_state a b =
-    let cmp_queue = Seqs.compare (fun (m, p) (m', p') ->
-        match M.compare m m' with 0 -> Proc.compare p p' | c -> c)
+  (* The state described once (DESIGN.md §13): codec and equality derive
+     from these fields, in the codec's field order. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let module C = Check.Codec in
+    let members name get =
+      field name get (Fixed C.(gid_map proc_set)) (Gid.Map.equal Proc.Set.equal)
     in
-    let cmp_bot x y =
-      match (x, y) with
-      | None, None -> 0
-      | None, Some _ -> -1
-      | Some _, None -> 1
-      | Some g, Some g' -> Gid.compare g g'
-    in
-    let ( <?> ) c rest = if c <> 0 then c else rest () in
-    View.Set.compare a.created b.created <?> fun () ->
-    Proc.Map.compare cmp_bot a.current_viewid b.current_viewid <?> fun () ->
-    Gid.Map.compare cmp_queue a.queue b.queue <?> fun () ->
-    Gid.Map.compare Proc.Set.compare a.attempted b.attempted <?> fun () ->
-    Gid.Map.compare Proc.Set.compare a.registered b.registered <?> fun () ->
-    Pg_map.compare (Seqs.compare M.compare) a.pending b.pending <?> fun () ->
-    Pg_map.compare Int.compare a.next b.next <?> fun () ->
-    Pg_map.compare Int.compare a.next_safe b.next_safe
+    let counter name get = field name get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) in
+    make
+      (fun created current_viewid queue attempted registered pending next next_safe ->
+        { created; current_viewid; queue; attempted; registered; pending; next; next_safe })
+      [
+        field "created" (fun s -> s.created) (Fixed C.view_set) View.Set.equal;
+        field "current_viewid" (fun s -> s.current_viewid) (Fixed C.(proc_map gid_bot))
+          (Proc.Map.equal Gid.Bot.equal);
+        field "queue" (fun s -> s.queue) (Payload (fun m -> C.(gid_map (seqs (pair m proc)))))
+          (Gid.Map.equal (Seqs.equal msg_pair_equal));
+        members "attempted" (fun s -> s.attempted);
+        members "registered" (fun s -> s.registered);
+        field "pending" (fun s -> s.pending) (Payload (fun m -> C.(pg_map (seqs m))))
+          (Pg_map.equal (Seqs.equal M.equal));
+        counter "next" (fun s -> s.next);
+        counter "next_safe" (fun s -> s.next_safe);
+      ]
 
-  let equal_state a b = compare_state a b = 0
+  let equal_state = Check.Record.equal record
+  let codec_state = Check.Record.codec record
 
   (* Canonical full-state rendering for exhaustive-exploration dedup.
      Injective provided [M.pp] is injective on the payload alphabet used. *)
@@ -222,49 +228,6 @@ module Make (M : Msg_intf.S) = struct
       (Pg_map.bindings s.next_safe);
     Format.pp_print_flush ppf ();
     Buffer.contents buf
-
-  (* Flat canonical codec over the same eight components [state_key]
-     renders; injective up to [equal_state] whenever [m] is injective up
-     to [M.equal]. *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let viewids_c = proc_map gid_bot in
-    let queue_c = gid_map (seqs (pair m proc)) in
-    let members_c = gid_map proc_set in
-    let pending_c = pg_map (seqs m) in
-    let counters_c = pg_map int in
-    {
-      wr =
-        (fun b s ->
-          view_set.wr b s.created;
-          viewids_c.wr b s.current_viewid;
-          queue_c.wr b s.queue;
-          members_c.wr b s.attempted;
-          members_c.wr b s.registered;
-          pending_c.wr b s.pending;
-          counters_c.wr b s.next;
-          counters_c.wr b s.next_safe);
-      rd =
-        (fun r ->
-          let created = view_set.rd r in
-          let current_viewid = viewids_c.rd r in
-          let queue = queue_c.rd r in
-          let attempted = members_c.rd r in
-          let registered = members_c.rd r in
-          let pending = pending_c.rd r in
-          let next = counters_c.rd r in
-          let next_safe = counters_c.rd r in
-          {
-            created;
-            current_viewid;
-            queue;
-            attempted;
-            registered;
-            pending;
-            next;
-            next_safe;
-          });
-    }
 
   let pp_action ppf = function
     | Createview v -> Format.fprintf ppf "dvs-createview(%a)" View.pp v

@@ -54,16 +54,14 @@ module Make (M : Prelude.Msg_intf.S) : sig
 
   include Ioa.Automaton.S with type state := state and type action := action
 
-  val compare_state : state -> state -> int
-
   (** A canonical rendering of the entire state, injective whenever [M.pp]
       is injective on the alphabet in use — the dedup key for exhaustive
       exploration. *)
   val state_key : state -> string
 
-  (** Flat canonical codec over the same components as [state_key]:
-      injective up to [equal_state] whenever the message codec is
-      injective up to [M.equal]. *)
+  (** Flat canonical codec derived from the state's one description
+      (DESIGN.md §13): injective up to [equal_state] whenever the message
+      codec is injective up to [M.equal]. *)
   val codec_state : M.t Check.Codec.f -> state Check.Codec.f
 
   (** Total lookups with the Figure 2 "init" defaults. *)

@@ -235,39 +235,47 @@ module Make (M : Msg_intf.S) = struct
         true
     | Garbage_collect _ -> false
 
-  let compare_view_opt a b =
-    match (a, b) with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some v, Some w -> View.compare v w
+  (* The state described once (DESIGN.md §13): codec and equality derive
+     from these fields, in the codec's field order. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let module C = Check.Codec in
+    let mp_equal (m, p) (m', p') = M.equal m m' && Proc.equal p p' in
+    let info_equal (v, vs) (w, ws) = View.equal v w && View.Set.equal vs ws in
+    let view_opt name get = field name get (Fixed C.(option view)) (Option.equal View.equal) in
+    let views name get = field name get (Fixed C.view_set) View.Set.equal in
+    let from_vs name get =
+      field name get (Payload (fun m -> C.(gid_map (seqs (pair m proc)))))
+        (Gid.Map.equal (Seqs.equal mp_equal))
+    in
+    make
+      (fun me cur client_cur act amb attempted info_rcvd rcvd_rgst msgs_to_vs msgs_from_vs
+           safe_from_vs reg info_sent ->
+        { me; cur; client_cur; act; amb; attempted; info_rcvd; rcvd_rgst; msgs_to_vs;
+          msgs_from_vs; safe_from_vs; reg; info_sent })
+      [
+        field "me" (fun s -> s.me) (Fixed C.proc) Proc.equal;
+        view_opt "cur" (fun s -> s.cur);
+        view_opt "client_cur" (fun s -> s.client_cur);
+        field "act" (fun s -> s.act) (Fixed C.view) View.equal;
+        views "amb" (fun s -> s.amb);
+        views "attempted" (fun s -> s.attempted);
+        field "info_rcvd" (fun s -> s.info_rcvd) (Fixed C.(pg_map (pair view view_set)))
+          (Pg_map.equal info_equal);
+        field "rcvd_rgst" (fun s -> s.rcvd_rgst) (Fixed C.(pg_map unit))
+          (Pg_map.equal (fun () () -> true));
+        field "msgs_to_vs" (fun s -> s.msgs_to_vs)
+          (Payload (fun m -> C.(gid_map (seqs (Wire.codec m)))))
+          (Gid.Map.equal (Seqs.equal W.equal));
+        from_vs "msgs_from_vs" (fun s -> s.msgs_from_vs);
+        from_vs "safe_from_vs" (fun s -> s.safe_from_vs);
+        field "reg" (fun s -> s.reg) (Fixed C.gid_set) Gid.Set.equal;
+        field "info_sent" (fun s -> s.info_sent) (Fixed C.(gid_map (pair view view_set)))
+          (Gid.Map.equal info_equal);
+      ]
 
-  let cmp_pair (m, p) (m', p') =
-    match M.compare m m' with 0 -> Proc.compare p p' | c -> c
-
-  let cmp_info (v, vs) (w, ws) =
-    match View.compare v w with 0 -> View.Set.compare vs ws | c -> c
-
-  let compare_state a b =
-    let ( <?> ) c rest = if c <> 0 then c else rest () in
-    Proc.compare a.me b.me <?> fun () ->
-    compare_view_opt a.cur b.cur <?> fun () ->
-    compare_view_opt a.client_cur b.client_cur <?> fun () ->
-    View.compare a.act b.act <?> fun () ->
-    View.Set.compare a.amb b.amb <?> fun () ->
-    View.Set.compare a.attempted b.attempted <?> fun () ->
-    Pg_map.compare cmp_info a.info_rcvd b.info_rcvd <?> fun () ->
-    Pg_map.compare (fun () () -> 0) a.rcvd_rgst b.rcvd_rgst <?> fun () ->
-    Gid.Map.compare (Seqs.compare W.compare) a.msgs_to_vs b.msgs_to_vs
-    <?> fun () ->
-    Gid.Map.compare (Seqs.compare cmp_pair) a.msgs_from_vs b.msgs_from_vs
-    <?> fun () ->
-    Gid.Map.compare (Seqs.compare cmp_pair) a.safe_from_vs b.safe_from_vs
-    <?> fun () ->
-    Gid.Set.compare a.reg b.reg <?> fun () ->
-    Gid.Map.compare cmp_info a.info_sent b.info_sent
-
-  let equal_state a b = compare_state a b = 0
+  let equal_state = Check.Record.equal record
+  let codec_state = Check.Record.codec record
 
   let pp_view_opt ppf = function
     | None -> Format.pp_print_string ppf "⊥"
@@ -318,70 +326,6 @@ module Make (M : Msg_intf.S) = struct
       (gmap info) s.info_sent;
     Format.pp_print_flush ppf ();
     Buffer.contents buf
-
-  (* The payload-independent field codecs, built once per functor
-     instance instead of on every [codec_state] call. *)
-  let view_opt_c = Check.Codec.(option view)
-  let info_c = Check.Codec.(pair view view_set)
-  let info_pg_c = Check.Codec.pg_map info_c
-  let rgst_c = Check.Codec.(pg_map unit)
-  let info_sent_c = Check.Codec.gid_map info_c
-
-  (* Flat canonical codec over the same thirteen components [state_key]
-     renders; injective up to [equal_state] whenever [m] is injective up
-     to [M.equal]. *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let wire_c = Wire.codec m in
-    let to_vs_c = gid_map (seqs wire_c) in
-    let from_vs_c = gid_map (seqs (pair m proc)) in
-    {
-      wr =
-        (fun b s ->
-          proc.wr b s.me;
-          view_opt_c.wr b s.cur;
-          view_opt_c.wr b s.client_cur;
-          view.wr b s.act;
-          view_set.wr b s.amb;
-          view_set.wr b s.attempted;
-          info_pg_c.wr b s.info_rcvd;
-          rgst_c.wr b s.rcvd_rgst;
-          to_vs_c.wr b s.msgs_to_vs;
-          from_vs_c.wr b s.msgs_from_vs;
-          from_vs_c.wr b s.safe_from_vs;
-          gid_set.wr b s.reg;
-          info_sent_c.wr b s.info_sent);
-      rd =
-        (fun r ->
-          let me = proc.rd r in
-          let cur = view_opt_c.rd r in
-          let client_cur = view_opt_c.rd r in
-          let act = view.rd r in
-          let amb = view_set.rd r in
-          let attempted = view_set.rd r in
-          let info_rcvd = info_pg_c.rd r in
-          let rcvd_rgst = rgst_c.rd r in
-          let msgs_to_vs = to_vs_c.rd r in
-          let msgs_from_vs = from_vs_c.rd r in
-          let safe_from_vs = from_vs_c.rd r in
-          let reg = gid_set.rd r in
-          let info_sent = info_sent_c.rd r in
-          {
-            me;
-            cur;
-            client_cur;
-            act;
-            amb;
-            attempted;
-            info_rcvd;
-            rcvd_rgst;
-            msgs_to_vs;
-            msgs_from_vs;
-            safe_from_vs;
-            reg;
-            info_sent;
-          });
-    }
 
   let pp_action ppf = function
     | Dvs_gpsnd m -> Format.fprintf ppf "dvs-gpsnd(%a)" M.pp m

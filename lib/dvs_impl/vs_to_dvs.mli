@@ -91,7 +91,6 @@ module Make (M : Prelude.Msg_intf.S) : sig
   val enabled_v : variant -> state -> action -> bool
   val step_v : variant -> state -> action -> state
   val is_external : action -> bool
-  val compare_state : state -> state -> int
   val equal_state : state -> state -> bool
 
   (** Canonical full-state rendering (all fields, history variables
@@ -99,9 +98,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
       use — a dedup-key component for exhaustive exploration. *)
   val state_key : state -> string
 
-  (** Flat canonical codec over the same components as [state_key]:
-      injective up to [equal_state] whenever the client-message codec is
-      injective up to [M.equal]. *)
+  (** Flat canonical codec derived from the state's one description
+      (DESIGN.md §13): injective up to [equal_state] whenever the
+      client-message codec is injective up to [M.equal]. *)
   val codec_state : M.t Check.Codec.f -> state Check.Codec.f
 
   val pp_state : Format.formatter -> state -> unit

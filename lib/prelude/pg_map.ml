@@ -6,3 +6,4 @@ include Map.Make (struct
 end)
 
 let find_or ~default k m = match find_opt k m with Some v -> v | None -> default
+let rekey pi m = fold (fun (p, g) v acc -> add (pi p, g) v acc) m empty

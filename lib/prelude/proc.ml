@@ -47,4 +47,5 @@ module Map = struct
   include Stdlib.Map.Make (Int)
 
   let find_or ~default p m = match find_opt p m with Some v -> v | None -> default
+  let rekey pi m = fold (fun p v acc -> add (pi p) v acc) m empty
 end

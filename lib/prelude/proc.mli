@@ -43,4 +43,8 @@ module Map : sig
 
   (** [find_or ~default p m] is [find p m], or [default] when unbound. *)
   val find_or : default:'a -> int -> 'a t -> 'a
+
+  (** [rekey pi m] moves each binding [p ↦ v] to [pi p ↦ v]; [pi] must be
+      a permutation. *)
+  val rekey : (int -> int) -> 'a t -> 'a t
 end

@@ -197,24 +197,52 @@ let is_external = function
       true
   | Label_msg _ | Confirm -> false
 
-let equal_state a b =
-  Proc.equal a.me b.me
-  && Option.equal View.equal a.current b.current
-  && a.status = b.status
-  && Label.Map.equal String.equal a.content b.content
-  && Int.equal a.nextseqno b.nextseqno
-  && Seqs.equal Label.equal a.buffer b.buffer
-  && Label.Set.equal a.safe_labels b.safe_labels
-  && Seqs.equal Label.equal a.order b.order
-  && Int.equal a.nextconfirm b.nextconfirm
-  && Int.equal a.nextreport b.nextreport
-  && Gid.equal a.highprimary b.highprimary
-  && Proc.Map.equal Summary.equal a.gotstate b.gotstate
-  && Proc.Set.equal a.safe_exch b.safe_exch
-  && Gid.Set.equal a.registered b.registered
-  && Seqs.equal String.equal a.delay b.delay
-  && Gid.Set.equal a.established b.established
-  && Gid.Map.equal (Seqs.equal Label.equal) a.buildorder b.buildorder
+(* The state described once (DESIGN.md §13): codec and equality derive
+   from these seventeen fields, in the codec's field order. *)
+let record : (unit, state) Check.Record.t =
+  let open Check.Record in
+  let module C = Check.Codec in
+  let status_c =
+    C.via C.byte
+      ~to_:(function Normal -> 0 | Send -> 1 | Collect -> 2)
+      ~of_:(function
+        | 0 -> Normal | 1 -> Send | 2 -> Collect
+        | _ -> raise (C.Malformed "status tag"))
+  in
+  let labels name get = field name get (Fixed C.(seqs label)) (Seqs.equal Label.equal) in
+  let counter name get = field name get (Fixed C.int) Int.equal in
+  let gids name get = field name get (Fixed C.gid_set) Gid.Set.equal in
+  make
+    (fun me current status content nextseqno buffer safe_labels order nextconfirm nextreport
+         highprimary gotstate safe_exch registered delay established buildorder ->
+      { me; current; status; content; nextseqno; buffer; safe_labels; order; nextconfirm;
+        nextreport; highprimary; gotstate; safe_exch; registered; delay; established;
+        buildorder })
+    [
+      field "me" (fun s -> s.me) (Fixed C.proc) Proc.equal;
+      field "current" (fun s -> s.current) (Fixed C.(option view)) (Option.equal View.equal);
+      field "status" (fun s -> s.status) (Fixed status_c) ( = );
+      field "content" (fun s -> s.content) (Fixed C.(label_map string))
+        (Label.Map.equal String.equal);
+      counter "nextseqno" (fun s -> s.nextseqno);
+      labels "buffer" (fun s -> s.buffer);
+      field "safe_labels" (fun s -> s.safe_labels) (Fixed C.label_set) Label.Set.equal;
+      labels "order" (fun s -> s.order);
+      counter "nextconfirm" (fun s -> s.nextconfirm);
+      counter "nextreport" (fun s -> s.nextreport);
+      field "highprimary" (fun s -> s.highprimary) (Fixed C.gid) Gid.equal;
+      field "gotstate" (fun s -> s.gotstate) (Fixed C.(proc_map summary))
+        (Proc.Map.equal Summary.equal);
+      field "safe_exch" (fun s -> s.safe_exch) (Fixed C.proc_set) Proc.Set.equal;
+      gids "registered" (fun s -> s.registered);
+      field "delay" (fun s -> s.delay) (Fixed C.(seqs string)) (Seqs.equal String.equal);
+      gids "established" (fun s -> s.established);
+      field "buildorder" (fun s -> s.buildorder) (Fixed C.(gid_map (seqs label)))
+        (Gid.Map.equal (Seqs.equal Label.equal));
+    ]
+
+let equal_state = Check.Record.equal record
+let codec_state = Check.Record.codec record Check.Codec.unit
 
 let pp_state ppf s =
   Format.fprintf ppf
@@ -262,89 +290,6 @@ let state_key s =
     (Gid.Map.bindings s.buildorder);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-(* Flat canonical codec over the same seventeen fields [state_key]
-   renders; injective up to structural state equality. *)
-let codec_state : state Check.Codec.f =
-  let open Check.Codec in
-  let status_c =
-    {
-      wr =
-        (fun b st ->
-          byte.wr b
-            (match st with Normal -> 0 | Send -> 1 | Collect -> 2));
-      rd =
-        (fun r ->
-          match byte.rd r with
-          | 0 -> Normal
-          | 1 -> Send
-          | 2 -> Collect
-          | _ -> raise (Malformed "status tag"));
-    }
-  in
-  let content_c = label_map string in
-  let labels_c = seqs label in
-  let gotstate_c = proc_map summary in
-  let buildorder_c = gid_map (seqs label) in
-  {
-    wr =
-      (fun b s ->
-        proc.wr b s.me;
-        (option view).wr b s.current;
-        status_c.wr b s.status;
-        content_c.wr b s.content;
-        int.wr b s.nextseqno;
-        labels_c.wr b s.buffer;
-        label_set.wr b s.safe_labels;
-        labels_c.wr b s.order;
-        int.wr b s.nextconfirm;
-        int.wr b s.nextreport;
-        gid.wr b s.highprimary;
-        gotstate_c.wr b s.gotstate;
-        proc_set.wr b s.safe_exch;
-        gid_set.wr b s.registered;
-        (seqs string).wr b s.delay;
-        gid_set.wr b s.established;
-        buildorder_c.wr b s.buildorder);
-    rd =
-      (fun r ->
-        let me = proc.rd r in
-        let current = (option view).rd r in
-        let status = status_c.rd r in
-        let content = content_c.rd r in
-        let nextseqno = int.rd r in
-        let buffer = labels_c.rd r in
-        let safe_labels = label_set.rd r in
-        let order = labels_c.rd r in
-        let nextconfirm = int.rd r in
-        let nextreport = int.rd r in
-        let highprimary = gid.rd r in
-        let gotstate = gotstate_c.rd r in
-        let safe_exch = proc_set.rd r in
-        let registered = gid_set.rd r in
-        let delay = (seqs string).rd r in
-        let established = gid_set.rd r in
-        let buildorder = buildorder_c.rd r in
-        {
-          me;
-          current;
-          status;
-          content;
-          nextseqno;
-          buffer;
-          safe_labels;
-          order;
-          nextconfirm;
-          nextreport;
-          highprimary;
-          gotstate;
-          safe_exch;
-          registered;
-          delay;
-          established;
-          buildorder;
-        });
-  }
 
 let pp_action ppf = function
   | Bcast a -> Format.fprintf ppf "bcast(%s)" a

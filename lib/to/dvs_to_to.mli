@@ -68,8 +68,8 @@ include Ioa.Automaton.S with type state := state and type action := action
     dedup key for exhaustive exploration. *)
 val state_key : state -> string
 
-(** Flat canonical codec over the same seventeen fields, injective up to
-    structural state equality. *)
+(** Flat canonical codec derived from the state's one description
+    (DESIGN.md §13), injective up to [equal_state]. *)
 val codec_state : state Check.Codec.f
 
 (** The summary this process would send in its next state exchange. *)

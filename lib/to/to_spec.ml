@@ -45,31 +45,37 @@ let is_external = function
   | Bcast _ | Brcv _ -> true
   | Order _ -> false
 
-(* Symmetry transport: processors appear only as map keys and order
+(* The state described once (DESIGN.md §13): codec, equality, symmetry
+   transport and the footprint families derive from these fields, in the
+   codec's field order.  Processors appear only as map keys and order
    attributions; the spec is equivariant (audited by Analysis.Symmetry)
    and feeds orbit canonicalization. *)
-let permute pi s =
-  let rekey m =
-    Proc.Map.fold (fun p v acc -> Proc.Map.add (pi p) v acc) m Proc.Map.empty
-  in
-  {
-    pending = rekey s.pending;
-    order = Seqs.applytoall (fun (a, p) -> (a, pi p)) s.order;
-    next = rekey s.next;
-  }
+let record : (unit, state) Check.Record.t =
+  let open Check.Record in
+  let module C = Check.Codec in
+  make
+    (fun pending order next -> { pending; order; next })
+    [
+      field "pending" (fun s -> s.pending) (Fixed C.(proc_map (seqs string)))
+        (Proc.Map.equal (Seqs.equal String.equal)) ~permute:Proc.Map.rekey
+        ~family:(Family "pending");
+      field "order" (fun s -> s.order) (Fixed C.(seqs (pair string proc)))
+        (Seqs.equal (fun (x, p) (y, q) -> String.equal x y && Proc.equal p q))
+        ~permute:(fun pi -> Seqs.applytoall (fun (a, p) -> (a, pi p)))
+        ~family:(Family "order");
+      field "next" (fun s -> s.next) (Fixed C.(proc_map int)) (Proc.Map.equal Int.equal)
+        ~permute:Proc.Map.rekey ~family:(Family "next");
+    ]
+
+let equal_state = Check.Record.equal record
+let permute = Check.Record.permute record
+let codec_state = Check.Record.codec record Check.Codec.unit
 
 let permute_action pi = function
   | Bcast (p, a) -> Bcast (pi p, a)
   | Order (a, p) -> Order (a, pi p)
   | Brcv { origin; dst; payload } ->
       Brcv { origin = pi origin; dst = pi dst; payload }
-
-let equal_state a b =
-  Proc.Map.equal (Seqs.equal String.equal) a.pending b.pending
-  && Seqs.equal
-       (fun (x, p) (y, q) -> String.equal x y && Proc.equal p q)
-       a.order b.order
-  && Proc.Map.equal Int.equal a.next b.next
 
 let pp_state ppf s =
   Format.fprintf ppf "@[<v>order=%a@ next=[%a]@]"
@@ -93,27 +99,6 @@ let state_key s =
     (Format.pp_print_list ~pp_sep:semi (fun ppf (p, n) ->
          Format.fprintf ppf "%a=%d" Proc.pp p n))
     (Proc.Map.bindings s.next)
-
-(* Flat canonical codec over the same three components [state_key]
-   renders; injective up to structural state equality. *)
-let codec_state : state Check.Codec.f =
-  let open Check.Codec in
-  let pending_c = proc_map (seqs string) in
-  let order_c = seqs (pair string proc) in
-  let next_c = proc_map int in
-  {
-    wr =
-      (fun b s ->
-        pending_c.wr b s.pending;
-        order_c.wr b s.order;
-        next_c.wr b s.next);
-    rd =
-      (fun r ->
-        let pending = pending_c.rd r in
-        let order = order_c.rd r in
-        let next = next_c.rd r in
-        { pending; order; next });
-  }
 
 let pp_action ppf = function
   | Bcast (p, a) -> Format.fprintf ppf "bcast(%s)_%a" a Proc.pp p

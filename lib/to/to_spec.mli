@@ -36,8 +36,12 @@ val next_of : state -> Prelude.Proc.t -> int
     exploration. *)
 val state_key : state -> string
 
-(** Flat canonical codec over the same components as [state_key],
-    injective up to structural state equality. *)
+(** The state's one description (DESIGN.md §13), in codec field order;
+    the footprint families are [pending], [order] and [next]. *)
+val record : (unit, state) Check.Record.t
+
+(** Flat canonical codec derived from {!record}, injective up to
+    [equal_state]. *)
 val codec_state : state Check.Codec.f
 
 (** Symmetry transport: apply a processor permutation to a state / an

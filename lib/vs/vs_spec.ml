@@ -113,48 +113,40 @@ module Make (M : Msg_intf.S) = struct
     | Createview _ | Order _ -> false
     | Newview _ | Gpsnd _ | Gprcv _ | Safe _ -> true
 
-  let compare_state a b =
-    let cmp_queue = Seqs.compare (fun (m, p) (m', p') ->
-        match M.compare m m' with 0 -> Proc.compare p p' | c -> c)
+  (* The state described once (DESIGN.md §13): codec, equality, symmetry
+     transport and the footprint families derive from these fields, in
+     the codec's field order.  The spec mentions processors only as view
+     members, map keys and message attributions, so a permutation re-keys
+     and re-labels; no transition consults the identity of a processor,
+     which the symmetry audit verifies. *)
+  let record : (M.t, state) Check.Record.t =
+    let open Check.Record in
+    let module C = Check.Codec in
+    let counter name get =
+      field name get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) ~permute:Pg_map.rekey
+        ~family:(Family name)
     in
-    let cmp_bot x y =
-      match (x, y) with
-      | None, None -> 0
-      | None, Some _ -> -1
-      | Some _, None -> 1
-      | Some g, Some g' -> Gid.compare g g'
-    in
-    let ( <?> ) c rest = if c <> 0 then c else rest () in
-    View.Set.compare a.created b.created <?> fun () ->
-    Proc.Map.compare cmp_bot a.current_viewid b.current_viewid <?> fun () ->
-    Gid.Map.compare cmp_queue a.queue b.queue <?> fun () ->
-    Pg_map.compare (Seqs.compare M.compare) a.pending b.pending <?> fun () ->
-    Pg_map.compare Int.compare a.next b.next <?> fun () ->
-    Pg_map.compare Int.compare a.next_safe b.next_safe
+    make
+      (fun created current_viewid queue pending next next_safe ->
+        { created; current_viewid; queue; pending; next; next_safe })
+      [
+        field "created" (fun s -> s.created) (Fixed C.view_set) View.Set.equal
+          ~permute:(fun pi -> View.Set.map (View.permute pi)) ~family:(Family "created");
+        field "current_viewid" (fun s -> s.current_viewid) (Fixed C.(proc_map gid_bot))
+          (Proc.Map.equal Gid.Bot.equal) ~permute:Proc.Map.rekey ~family:(Family "viewids");
+        field "queue" (fun s -> s.queue) (Payload (fun m -> C.(gid_map (seqs (pair m proc)))))
+          (Gid.Map.equal (Seqs.equal msg_pair_equal))
+          ~permute:(fun pi -> Gid.Map.map (Seqs.applytoall (fun (m, p) -> (m, pi p))))
+          ~family:(Family "queue");
+        field "pending" (fun s -> s.pending) (Payload (fun m -> C.(pg_map (seqs m))))
+          (Pg_map.equal (Seqs.equal M.equal)) ~permute:Pg_map.rekey ~family:(Family "pending");
+        counter "next" (fun s -> s.next);
+        counter "next_safe" (fun s -> s.next_safe);
+      ]
 
-  let equal_state a b = compare_state a b = 0
-
-  (* Symmetry transport: the VS specification mentions processors only as
-     view members, map keys and message attributions, so a permutation
-     re-keys and re-labels.  The spec is equivariant — no transition
-     consults the *identity* of a processor — which the symmetry audit
-     verifies and the explorer exploits for orbit canonicalization. *)
-  let permute pi s =
-    let rekey_pg m =
-      Pg_map.fold (fun (p, g) v acc -> Pg_map.add (pi p, g) v acc) m Pg_map.empty
-    in
-    {
-      created = View.Set.map (View.permute pi) s.created;
-      current_viewid =
-        Proc.Map.fold
-          (fun p g acc -> Proc.Map.add (pi p) g acc)
-          s.current_viewid Proc.Map.empty;
-      queue =
-        Gid.Map.map (Seqs.applytoall (fun (m, p) -> (m, pi p))) s.queue;
-      pending = rekey_pg s.pending;
-      next = rekey_pg s.next;
-      next_safe = rekey_pg s.next_safe;
-    }
+  let equal_state = Check.Record.equal record
+  let permute = Check.Record.permute record
+  let codec_state = Check.Record.codec record
 
   let permute_action pi = function
     | Createview v -> Createview (View.permute pi v)
@@ -191,36 +183,6 @@ module Make (M : Msg_intf.S) = struct
       (Pg_map.bindings s.next_safe);
     Format.pp_print_flush ppf ();
     Buffer.contents buf
-
-  (* Flat canonical codec over the same six components [state_key]
-     renders.  Every container combinator is canonical (sets/maps in
-     ascending order with cardinal prefixes), so the image is injective
-     up to [equal_state] whenever [m] is injective up to [M.equal]. *)
-  let codec_state (m : M.t Check.Codec.f) : state Check.Codec.f =
-    let open Check.Codec in
-    let viewids_c = proc_map gid_bot in
-    let queue_c = gid_map (seqs (pair m proc)) in
-    let pending_c = pg_map (seqs m) in
-    let counters_c = pg_map int in
-    {
-      wr =
-        (fun b s ->
-          view_set.wr b s.created;
-          viewids_c.wr b s.current_viewid;
-          queue_c.wr b s.queue;
-          pending_c.wr b s.pending;
-          counters_c.wr b s.next;
-          counters_c.wr b s.next_safe);
-      rd =
-        (fun r ->
-          let created = view_set.rd r in
-          let current_viewid = viewids_c.rd r in
-          let queue = queue_c.rd r in
-          let pending = pending_c.rd r in
-          let next = counters_c.rd r in
-          let next_safe = counters_c.rd r in
-          { created; current_viewid; queue; pending; next; next_safe });
-    }
 
   let pp_action ppf = function
     | Createview v -> Format.fprintf ppf "vs-createview(%a)" View.pp v

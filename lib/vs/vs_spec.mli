@@ -46,17 +46,20 @@ module Make (M : Prelude.Msg_intf.S) : sig
 
   include Ioa.Automaton.S with type state := state and type action := action
 
-  val compare_state : state -> state -> int
-
   (** A canonical rendering of the entire state, injective whenever [M.pp]
       is injective on the alphabet in use — the dedup key for exhaustive
       exploration. *)
   val state_key : state -> string
 
-  (** Flat canonical codec over the same components as [state_key]:
-      injective up to [equal_state] whenever the message codec is
-      injective up to [M.equal].  Feeds {!Check.Codec.make} for the
-      explorer's flat fingerprint path. *)
+  (** The state's one description (DESIGN.md §13), in codec field order;
+      the footprint families are [created], [viewids], [queue],
+      [pending], [next] and [next_safe]. *)
+  val record : (M.t, state) Check.Record.t
+
+  (** Flat canonical codec derived from {!record}: injective up to
+      [equal_state] whenever the message codec is injective up to
+      [M.equal].  Feeds {!Check.Codec.make} for the explorer's flat
+      fingerprint path. *)
   val codec_state : M.t Check.Codec.f -> state Check.Codec.f
 
   (** Symmetry transport: apply a processor permutation to a state / an

@@ -74,9 +74,7 @@ let record () =
       field "next_id" (fun t -> t.next_id) (Fixed Check.Codec.gid) Gid.equal
         ~family:(Family "issued");
       field "notified" (fun t -> t.notified) (Fixed Check.Codec.(proc_map gid_bot))
-        (Proc.Map.equal Gid.Bot.equal) ~family:(Family "notified")
-        ~permute:(fun pi m ->
-          Proc.Map.fold (fun p g acc -> Proc.Map.add (pi p) g acc) m Proc.Map.empty);
+        (Proc.Map.equal Gid.Bot.equal) ~family:(Family "notified") ~permute:Proc.Map.rekey;
       field "components" (fun t -> t.components) (Fixed Check.Codec.(list proc_set))
         (List.equal Proc.Set.equal) ~family:(Family "components")
         ~permute:(fun pi -> List.map (Proc.Set.map pi));

@@ -544,9 +544,8 @@ module Make (M : Msg_intf.S) = struct
       field name get (Payload (fun m -> C.(gid_map (seqs m))))
         (Gid.Map.equal (Seqs.equal M.equal)) ~family:(Family name)
     in
-    let rekey pi m = Pg_map.fold (fun (p, g) v -> Pg_map.add (pi p, g) v) m Pg_map.empty in
     let counter name get =
-      field name get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) ~permute:rekey
+      field name get (Fixed C.(pg_map int)) (Pg_map.equal Int.equal) ~permute:Pg_map.rekey
         ~family:(Family name)
     in
     let pointer ?family name get =

@@ -195,8 +195,7 @@ module Make (M : Msg_intf.S) = struct
         field "engines" (fun s -> s.engines)
           (Payload (fun m -> Check.Codec.proc_map (memo (E.codec_state m))))
           (Proc.Map.equal E.equal) ~family:(Per_proc E.record)
-          ~permute:(fun pi es ->
-            Proc.Map.fold (fun p e -> Proc.Map.add (pi p) (E.permute pi e)) es Proc.Map.empty);
+          ~permute:(fun pi es -> Proc.Map.map (E.permute pi) (Proc.Map.rekey pi es));
         field "p0" (fun s -> s.p0) (Fixed Check.Codec.proc_set) Proc.Set.equal
           ~permute:Proc.Set.map;
       ]
