@@ -7,7 +7,8 @@
    endpoint mid-run, and exits nonzero on any online monitor violation,
    liveness stall, snapshot divergence, missed delivery target, or a
    merged trace that is torn, lacks an endpoint's events, or fails an
-   offline replay of the standard rules.
+   offline replay of the standard rules.  A passing run deletes the
+   per-endpoint traces and keeps the merged one.
 
    Writes soak.* metrics (throughput, latency histogram, availability
    samples) as a bench snapshot (--out BENCH_E20.json) whose
@@ -446,4 +447,9 @@ let () =
         (Format.asprintf "%a" Obs.Monitor.pp_violation v))
     (Obs.Monitor.violations replay);
   if !fail then exit 1;
-  Printf.printf "soak: OK\n%!"
+  Printf.printf "soak: OK\n%!";
+  (* A passing run keeps only the merged trace, which holds every whole
+     line of the per-endpoint files; a failing one keeps them all. *)
+  Proc.Set.iter
+    (fun p -> try Sys.remove (trace_path p) with Sys_error _ -> ())
+    universe

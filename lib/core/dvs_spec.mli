@@ -55,9 +55,12 @@ module Make (M : Prelude.Msg_intf.S) : sig
   include Ioa.Automaton.S with type state := state and type action := action
 
   (** A canonical rendering of the entire state, injective whenever [M.pp]
-      is injective on the alphabet in use — the dedup key for exhaustive
-      exploration. *)
+      is injective on the alphabet in use: the RNG seed of key-seeded
+      exploration and the identity of counterexample search. *)
   val state_key : state -> string
+
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
 
   (** Flat canonical codec derived from the state's one description
       (DESIGN.md §13): injective up to [equal_state] whenever the message

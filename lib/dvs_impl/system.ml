@@ -103,13 +103,13 @@ module Make (M : Msg_intf.S) = struct
      own key plus every node's full rendering. *)
   let state_key s =
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf (Vsw.state_key s.vs);
+    Vsw.key_to_buffer buf s.vs;
     Proc.Map.iter
       (fun p n ->
         Buffer.add_char buf '#';
         Proc.to_buffer buf p;
         Buffer.add_char buf ':';
-        Buffer.add_string buf (Node.state_key n))
+        Node.key_to_buffer buf n)
       s.nodes;
     Buffer.contents buf
 

@@ -296,35 +296,71 @@ module Make (M : Msg_intf.S) = struct
      distinct node states never share a key.  Injective whenever [M.pp] is
      injective on the alphabet in use; the explorer's key audit
      ([check_key]) verifies this on the instances the analyzer runs. *)
+  let key_to_buffer buf s =
+    let add = Buffer.add_string buf and chr = Buffer.add_char buf in
+    let semi () = chr ';' in
+    let view_opt = function None -> add "⊥" | Some v -> View.to_buffer buf v in
+    let mp buf (m, q) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf q
+    in
+    let info (v, vs) =
+      chr '(';
+      View.to_buffer buf v;
+      chr ',';
+      View.Set.to_buffer buf vs;
+      chr ')'
+    in
+    let pg (q, g) =
+      Proc.to_buffer buf q;
+      chr '.';
+      Gid.to_buffer buf g
+    in
+    let gmap f m =
+      Fill.sep_bindings ~sep:semi Gid.Map.fold
+        (fun g x ->
+          Gid.to_buffer buf g;
+          chr ':';
+          f x)
+        m
+    in
+    add "me";
+    Proc.to_buffer buf s.me;
+    add "|cur";
+    view_opt s.cur;
+    add "|cc";
+    view_opt s.client_cur;
+    add "|act";
+    View.to_buffer buf s.act;
+    add "|amb";
+    View.Set.to_buffer buf s.amb;
+    add "|att";
+    View.Set.to_buffer buf s.attempted;
+    add "|ir[";
+    Fill.sep_bindings ~sep:semi Pg_map.fold
+      (fun k x ->
+        pg k;
+        chr '=';
+        info x)
+      s.info_rcvd;
+    add "]|rr[";
+    Fill.sep_bindings ~sep:semi Pg_map.fold (fun k () -> pg k) s.rcvd_rgst;
+    add "]|tv[";
+    gmap (Seqs.to_buffer W.to_buffer buf) s.msgs_to_vs;
+    add "]|fv[";
+    gmap (Seqs.to_buffer mp buf) s.msgs_from_vs;
+    add "]|sv[";
+    gmap (Seqs.to_buffer mp buf) s.safe_from_vs;
+    add "]|rg{";
+    Fill.sep_elements ~sep:semi Gid.Set.fold (Gid.to_buffer buf) s.reg;
+    add "}|is[";
+    gmap info s.info_sent;
+    chr ']'
+
   let state_key s =
     let buf = Buffer.create 512 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    let plist pp_x ppf xs = Format.pp_print_list ~pp_sep:semi pp_x ppf xs in
-    let mp ppf (m, q) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp q in
-    let info ppf (v, vs) =
-      Format.fprintf ppf "(%a,%a)" View.pp v View.Set.pp vs
-    in
-    let gmap pp_x ppf m =
-      plist (fun ppf (g, x) -> Format.fprintf ppf "%a:%a" Gid.pp g pp_x x) ppf
-        (Gid.Map.bindings m)
-    in
-    Format.fprintf ppf
-      "me%a|cur%a|cc%a|act%a|amb%a|att%a|ir[%a]|rr[%a]|tv[%a]|fv[%a]|sv[%a]|rg{%a}|is[%a]"
-      Proc.pp s.me pp_view_opt s.cur pp_view_opt s.client_cur View.pp s.act
-      View.Set.pp s.amb View.Set.pp s.attempted
-      (plist (fun ppf ((q, g), x) ->
-           Format.fprintf ppf "%a.%a=%a" Proc.pp q Gid.pp g info x))
-      (Pg_map.bindings s.info_rcvd)
-      (plist (fun ppf ((q, g), ()) ->
-           Format.fprintf ppf "%a.%a" Proc.pp q Gid.pp g))
-      (Pg_map.bindings s.rcvd_rgst)
-      (gmap (Seqs.pp W.pp)) s.msgs_to_vs
-      (gmap (Seqs.pp mp)) s.msgs_from_vs
-      (gmap (Seqs.pp mp)) s.safe_from_vs
-      (plist Gid.pp) (Gid.Set.elements s.reg)
-      (gmap info) s.info_sent;
-    Format.pp_print_flush ppf ();
+    key_to_buffer buf s;
     Buffer.contents buf
 
   let pp_action ppf = function

@@ -98,6 +98,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
       use — a dedup-key component for exhaustive exploration. *)
   val state_key : state -> string
 
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
+
   (** Flat canonical codec derived from the state's one description
       (DESIGN.md §13): injective up to [equal_state] whenever the
       client-message codec is injective up to [M.equal]. *)

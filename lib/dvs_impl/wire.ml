@@ -56,4 +56,16 @@ module Make (M : Msg_intf.S) = struct
     | Info (v, vs) ->
         Format.fprintf ppf "info(act=%a,amb=%a)" View.pp v View.Set.pp vs
     | Registered -> Format.pp_print_string ppf "registered"
+
+  let to_buffer buf = function
+    | Client c ->
+        Buffer.add_string buf "client:";
+        M.to_buffer buf c
+    | Info (v, vs) ->
+        Buffer.add_string buf "info(act=";
+        View.to_buffer buf v;
+        Buffer.add_string buf ",amb=";
+        View.Set.to_buffer buf vs;
+        Buffer.add_char buf ')'
+    | Registered -> Buffer.add_string buf "registered"
 end

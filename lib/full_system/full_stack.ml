@@ -114,13 +114,13 @@ module Make (M : Msg_intf.S) = struct
      node's — used as the dedup key for exhaustive exploration. *)
   let state_key s =
     let buf = Buffer.create 2048 in
-    Buffer.add_string buf (Stk.state_key s.stk);
+    Stk.key_to_buffer buf s.stk;
     Proc.Map.iter
       (fun p n ->
         Buffer.add_string buf "##";
         Proc.to_buffer buf p;
         Buffer.add_char buf ':';
-        Buffer.add_string buf (Node.state_key n))
+        Node.key_to_buffer buf n)
       s.nodes;
     Buffer.contents buf
 

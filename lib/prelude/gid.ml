@@ -12,6 +12,10 @@ let max = Stdlib.max
 let pp ppf g = Format.fprintf ppf "g%d" g
 let to_string g = "g" ^ string_of_int g
 
+let to_buffer buf g =
+  Buffer.add_char buf 'g';
+  Buffer.add_string buf (string_of_int g)
+
 module Map = Stdlib.Map.Make (Int)
 module Set = Stdlib.Set.Make (Int)
 
@@ -32,4 +36,8 @@ module Bot = struct
   let pp ppf = function
     | None -> Format.pp_print_string ppf "⊥"
     | Some g -> pp ppf g
+
+  let to_buffer buf = function
+    | None -> Buffer.add_string buf "⊥"
+    | Some g -> to_buffer buf g
 end

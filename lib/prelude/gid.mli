@@ -26,6 +26,9 @@ val max : t -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf g] appends the [pp] rendering of [g] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 module Map : Stdlib.Map.S with type key = int
 module Set : Stdlib.Set.S with type elt = int
 
@@ -46,4 +49,5 @@ module Bot : sig
   val lt_gid : t -> gid -> bool
 
   val pp : Format.formatter -> t -> unit
+  val to_buffer : Buffer.t -> t -> unit
 end

@@ -19,6 +19,15 @@ let pp ppf l =
 
 let to_string l = Format.asprintf "%a" pp l
 
+let to_buffer buf l =
+  Buffer.add_string buf "⟨";
+  Gid.to_buffer buf l.id;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (string_of_int l.seqno);
+  Buffer.add_char buf ',';
+  Proc.to_buffer buf l.origin;
+  Buffer.add_string buf "⟩"
+
 module Ord = struct
   type nonrec t = t
 

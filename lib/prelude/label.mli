@@ -11,6 +11,9 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf l] appends the [pp] rendering of [l] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 module Set : Stdlib.Set.S with type elt = t
 
 module Map : sig

@@ -11,6 +11,10 @@ module type S = sig
   val equal : t -> t -> bool
   val compare : t -> t -> int
   val pp : Format.formatter -> t -> unit
+
+  (** [to_buffer buf m] appends the [pp] rendering of [m] to [buf]: state
+      keys are written through it. *)
+  val to_buffer : Buffer.t -> t -> unit
 end
 
 (** Opaque string payloads, the default client alphabet. *)
@@ -20,4 +24,5 @@ module String_msg : S with type t = string = struct
   let equal = String.equal
   let compare = String.compare
   let pp = Format.pp_print_string
+  let to_buffer = Buffer.add_string
 end

@@ -112,6 +112,15 @@ let pp pp_elt ppf a =
        pp_elt)
     (to_list a)
 
+let to_buffer elt buf a =
+  Buffer.add_char buf '[';
+  Imap.iter
+    (fun i x ->
+      if i > a.start then Buffer.add_string buf "; ";
+      elt buf x)
+    a.slots;
+  Buffer.add_char buf ']'
+
 let common_prefix ~equal l =
   match l with
   | [] -> invalid_arg "Seqs.common_prefix: empty collection"

@@ -77,6 +77,10 @@ val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 val compare : ('a -> 'a -> int) -> 'a t -> 'a t -> int
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 
+(** [to_buffer elt buf a] appends [pp]'s rendering of [a] to [buf], each
+    element written by [elt]. *)
+val to_buffer : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a t -> unit
+
 (** [common_prefix ~equal l] is the longest sequence that is a prefix of
     every member of [l].  Raises [Invalid_argument] on the empty list. *)
 val common_prefix : equal:('a -> 'a -> bool) -> 'a t list -> 'a t

@@ -36,6 +36,24 @@ let pp ppf x =
     (Label.Map.bindings x.con)
     (Seqs.pp Label.pp) x.ord x.next Gid.pp x.high
 
+let to_buffer buf x =
+  Buffer.add_string buf "{con=[";
+  Fill.sep_bindings
+    ~sep:(fun () -> Buffer.add_char buf ',')
+    Label.Map.fold
+    (fun l a ->
+      Label.to_buffer buf l;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf a)
+    x.con;
+  Buffer.add_string buf "]; ord=";
+  Seqs.to_buffer Label.to_buffer buf x.ord;
+  Buffer.add_string buf "; next=";
+  Buffer.add_string buf (string_of_int x.next);
+  Buffer.add_string buf "; high=";
+  Gid.to_buffer buf x.high;
+  Buffer.add_char buf '}'
+
 type gotstate = t Proc.Map.t
 
 let knowncontent y =

@@ -25,6 +25,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
+(** [to_buffer buf x] appends the [pp] rendering of [x] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** The collected summaries of a view's members: a partial function
     [Y : P ⇀ S] ([gotstate] in Figure 5). *)
 type gotstate = t Proc.Map.t

@@ -20,6 +20,13 @@ let permute pi v = { v with set = Proc.Set.map pi v.set }
 let pp ppf v = Format.fprintf ppf "⟨%a,%a⟩" Gid.pp v.id Proc.Set.pp v.set
 let to_string v = Format.asprintf "%a" pp v
 
+let to_buffer buf v =
+  Buffer.add_string buf "⟨";
+  Gid.to_buffer buf v.id;
+  Buffer.add_char buf ',';
+  Proc.Set.to_buffer buf v.set;
+  Buffer.add_string buf "⟩"
+
 module Set = struct
   include Stdlib.Set.Make (struct
     type nonrec t = t
@@ -33,6 +40,11 @@ module Set = struct
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
          pp)
       (elements s)
+
+  let to_buffer buf s =
+    Buffer.add_char buf '{';
+    Fill.sep_elements ~sep:(fun () -> Buffer.add_string buf "; ") fold (to_buffer buf) s;
+    Buffer.add_char buf '}'
 
   let above g s = filter (fun v -> Gid.gt v.id g) s
 

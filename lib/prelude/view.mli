@@ -35,10 +35,14 @@ val permute : (Proc.t -> Proc.t) -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf v] appends the [pp] rendering of [v] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 module Set : sig
   include Stdlib.Set.S with type elt = t
 
   val pp : Format.formatter -> t -> unit
+  val to_buffer : Buffer.t -> t -> unit
 
   (** Members with identifier strictly greater than [g]. *)
   val above : Gid.t -> t -> t

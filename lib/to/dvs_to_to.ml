@@ -3,9 +3,8 @@ open Prelude
 type payload = string
 type status = Normal | Send | Collect
 
-let pp_status ppf s =
-  Format.pp_print_string ppf
-    (match s with Normal -> "normal" | Send -> "send" | Collect -> "collect")
+let status_name = function Normal -> "normal" | Send -> "send" | Collect -> "collect"
+let pp_status ppf s = Format.pp_print_string ppf (status_name s)
 
 type state = {
   me : Proc.t;
@@ -257,38 +256,65 @@ let pp_state ppf s =
 
 (* Canonical full-state rendering of all seventeen fields — used as the
    dedup key for exhaustive exploration. *)
+let key_to_buffer buf s =
+  let add = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let semi () = chr ';' in
+  let gids set = Fill.sep_elements ~sep:semi Gid.Set.fold (Gid.to_buffer buf) set in
+  let labels = Seqs.to_buffer Label.to_buffer buf in
+  add "me";
+  Proc.to_buffer buf s.me;
+  add "|cv";
+  (match s.current with None -> add "⊥" | Some v -> View.to_buffer buf v);
+  add "|st";
+  add (status_name s.status);
+  add "|co[";
+  Fill.sep_bindings ~sep:semi Label.Map.fold
+    (fun l a ->
+      Label.to_buffer buf l;
+      chr '=';
+      add a)
+    s.content;
+  add "]|ns";
+  add (string_of_int s.nextseqno);
+  add "|bf";
+  labels s.buffer;
+  add "|sl{";
+  Fill.sep_elements ~sep:semi Label.Set.fold (Label.to_buffer buf) s.safe_labels;
+  add "}|or";
+  labels s.order;
+  add "|nc";
+  add (string_of_int s.nextconfirm);
+  add "|nr";
+  add (string_of_int s.nextreport);
+  add "|hp";
+  Gid.to_buffer buf s.highprimary;
+  add "|gs[";
+  Fill.sep_bindings ~sep:semi Proc.Map.fold
+    (fun q x ->
+      Proc.to_buffer buf q;
+      chr ':';
+      Summary.to_buffer buf x)
+    s.gotstate;
+  add "]|se";
+  Proc.Set.to_buffer buf s.safe_exch;
+  add "|rg{";
+  gids s.registered;
+  add "}|dl";
+  Seqs.to_buffer Buffer.add_string buf s.delay;
+  add "|es{";
+  gids s.established;
+  add "}|bo[";
+  Fill.sep_bindings ~sep:semi Gid.Map.fold
+    (fun g q ->
+      Gid.to_buffer buf g;
+      chr ':';
+      labels q)
+    s.buildorder;
+  chr ']'
+
 let state_key s =
   let buf = Buffer.create 512 in
-  let ppf = Format.formatter_of_buffer buf in
-  let semi ppf () = Format.pp_print_string ppf ";" in
-  let plist pp_x ppf xs = Format.pp_print_list ~pp_sep:semi pp_x ppf xs in
-  let labels ppf m =
-    plist
-      (fun ppf (l, a) -> Format.fprintf ppf "%a=%s" Label.pp l a)
-      ppf (Label.Map.bindings m)
-  in
-  Format.fprintf ppf
-    "me%a|cv%a|st%a|co[%a]|ns%d|bf%a|sl{%a}|or%a|nc%d|nr%d|hp%a|gs[%a]|se%a|rg{%a}|dl%a|es{%a}|bo[%a]"
-    Proc.pp s.me
-    (Format.pp_print_option
-       ~none:(fun ppf () -> Format.pp_print_string ppf "⊥")
-       View.pp)
-    s.current pp_status s.status labels s.content s.nextseqno
-    (Seqs.pp Label.pp) s.buffer (plist Label.pp)
-    (Label.Set.elements s.safe_labels)
-    (Seqs.pp Label.pp) s.order s.nextconfirm s.nextreport Gid.pp s.highprimary
-    (plist (fun ppf (q, x) ->
-         Format.fprintf ppf "%a:%a" Proc.pp q Summary.pp x))
-    (Proc.Map.bindings s.gotstate)
-    Proc.Set.pp s.safe_exch (plist Gid.pp)
-    (Gid.Set.elements s.registered)
-    (Seqs.pp Format.pp_print_string)
-    s.delay (plist Gid.pp)
-    (Gid.Set.elements s.established)
-    (plist (fun ppf (g, q) ->
-         Format.fprintf ppf "%a:%a" Gid.pp g (Seqs.pp Label.pp) q))
-    (Gid.Map.bindings s.buildorder);
-  Format.pp_print_flush ppf ();
+  key_to_buffer buf s;
   Buffer.contents buf
 
 let pp_action ppf = function

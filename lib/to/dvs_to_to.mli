@@ -68,6 +68,9 @@ include Ioa.Automaton.S with type state := state and type action := action
     dedup key for exhaustive exploration. *)
 val state_key : state -> string
 
+(** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+val key_to_buffer : Buffer.t -> state -> unit
+
 (** Flat canonical codec derived from the state's one description
     (DESIGN.md §13), injective up to [equal_state]. *)
 val codec_state : state Check.Codec.f

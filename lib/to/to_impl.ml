@@ -96,13 +96,13 @@ let pp_state ppf s =
    node's — used as the dedup key for exhaustive exploration. *)
 let state_key s =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Dvs.state_key s.dvs);
+  Dvs.key_to_buffer buf s.dvs;
   Proc.Map.iter
     (fun p n ->
       Buffer.add_char buf '#';
       Proc.to_buffer buf p;
       Buffer.add_char buf ':';
-      Buffer.add_string buf (Dvs_to_to.state_key n))
+      Dvs_to_to.key_to_buffer buf n)
     s.nodes;
   Buffer.contents buf
 

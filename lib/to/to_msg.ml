@@ -24,6 +24,17 @@ let pp ppf = function
   | Data (l, x) -> Format.fprintf ppf "⟨%a,%s⟩" Label.pp l x
   | Summ x -> Format.fprintf ppf "summary%a" Summary.pp x
 
+let to_buffer buf = function
+  | Data (l, x) ->
+      Buffer.add_string buf "⟨";
+      Label.to_buffer buf l;
+      Buffer.add_char buf ',';
+      Buffer.add_string buf x;
+      Buffer.add_string buf "⟩"
+  | Summ x ->
+      Buffer.add_string buf "summary";
+      Summary.to_buffer buf x
+
 let is_summary = function Summ _ -> true | Data _ -> false
 
 (* Flat canonical codec: tag byte + constructor payload; canonical

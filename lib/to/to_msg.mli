@@ -14,6 +14,10 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** [to_buffer buf m] appends the [pp] rendering of [m] to [buf]. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val is_summary : t -> bool
 
 (** Flat canonical codec (tag byte + payload), injective up to

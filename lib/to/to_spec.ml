@@ -89,16 +89,31 @@ let pp_state ppf s =
 (* Canonical full-state rendering — injective because payloads print
    verbatim — used as the dedup key for exhaustive exploration. *)
 let state_key s =
-  let semi ppf () = Format.pp_print_string ppf ";" in
-  Format.asprintf "pd[%a]|or%a|nx[%a]"
-    (Format.pp_print_list ~pp_sep:semi (fun ppf (p, q) ->
-         Format.fprintf ppf "%a:%a" Proc.pp p (Seqs.pp Format.pp_print_string) q))
-    (Proc.Map.bindings s.pending)
-    (Seqs.pp (fun ppf (a, p) -> Format.fprintf ppf "%s@%a" a Proc.pp p))
-    s.order
-    (Format.pp_print_list ~pp_sep:semi (fun ppf (p, n) ->
-         Format.fprintf ppf "%a=%d" Proc.pp p n))
-    (Proc.Map.bindings s.next)
+  let buf = Buffer.create 128 in
+  let semi () = Buffer.add_char buf ';' in
+  Buffer.add_string buf "pd[";
+  Fill.sep_bindings ~sep:semi Proc.Map.fold
+    (fun p q ->
+      Proc.to_buffer buf p;
+      Buffer.add_char buf ':';
+      Seqs.to_buffer Buffer.add_string buf q)
+    s.pending;
+  Buffer.add_string buf "]|or";
+  Seqs.to_buffer
+    (fun buf (a, p) ->
+      Buffer.add_string buf a;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf p)
+    buf s.order;
+  Buffer.add_string buf "|nx[";
+  Fill.sep_bindings ~sep:semi Proc.Map.fold
+    (fun p n ->
+      Proc.to_buffer buf p;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf (string_of_int n))
+    s.next;
+  Buffer.add_char buf ']';
+  Buffer.contents buf
 
 let pp_action ppf = function
   | Bcast (p, a) -> Format.fprintf ppf "bcast(%s)_%a" a Proc.pp p

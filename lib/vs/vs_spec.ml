@@ -158,30 +158,67 @@ module Make (M : Msg_intf.S) = struct
     | Safe { src; dst; msg; gid } ->
         Safe { src = pi src; dst = pi dst; msg; gid }
 
-  (* Canonical full-state rendering for exhaustive-exploration dedup.
-     Injective provided [M.pp] is injective on the payload alphabet used. *)
+  (* Canonical full-state rendering, injective provided [M.to_buffer] is
+     injective on the payload alphabet used.  Its bytes are pinned (they
+     seed the explorer's per-state RNG, DESIGN.md §13): those of a [Format]
+     rendering whose lists are cut-separated, so [Fill] puts in the line
+     breaks [Format] did. *)
+  let key_to_buffer buf s =
+    let fill = Fill.start buf in
+    let add = Buffer.add_string buf and chr = Buffer.add_char buf in
+    let cut_list fold f m = Fill.sep_bindings ~sep:(fun () -> Fill.cut fill) fold f m in
+    let pg (p, g) =
+      Proc.to_buffer buf p;
+      chr '.';
+      Gid.to_buffer buf g
+    in
+    let counter k n =
+      pg k;
+      chr '=';
+      add (string_of_int n);
+      chr ';'
+    in
+    let pair buf (m, p) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf p
+    in
+    chr 'C';
+    View.Set.to_buffer buf s.created;
+    add "|V[";
+    cut_list Proc.Map.fold
+      (fun p g ->
+        Proc.to_buffer buf p;
+        chr '=';
+        Gid.Bot.to_buffer buf g;
+        chr ';')
+      s.current_viewid;
+    add "]|Q[";
+    cut_list Gid.Map.fold
+      (fun g q ->
+        Gid.to_buffer buf g;
+        chr ':';
+        Seqs.to_buffer pair buf q;
+        chr ';')
+      s.queue;
+    add "]|P[";
+    cut_list Pg_map.fold
+      (fun k q ->
+        pg k;
+        chr ':';
+        Seqs.to_buffer M.to_buffer buf q;
+        chr ';')
+      s.pending;
+    add "]|N[";
+    cut_list Pg_map.fold counter s.next;
+    add "]|S[";
+    cut_list Pg_map.fold counter s.next_safe;
+    chr ']';
+    Fill.finish fill
+
   let state_key s =
     let buf = Buffer.create 256 in
-    let ppf = Format.formatter_of_buffer buf in
-    let pair ppf (m, p) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp p in
-    Format.fprintf ppf "C%a|V[%a]|Q[%a]|P[%a]|N[%a]|S[%a]"
-      View.Set.pp s.created
-      (Format.pp_print_list (fun ppf (p, g) ->
-           Format.fprintf ppf "%a=%a;" Proc.pp p Gid.Bot.pp g))
-      (Proc.Map.bindings s.current_viewid)
-      (Format.pp_print_list (fun ppf (g, q) ->
-           Format.fprintf ppf "%a:%a;" Gid.pp g (Seqs.pp pair) q))
-      (Gid.Map.bindings s.queue)
-      (Format.pp_print_list (fun ppf ((p, g), q) ->
-           Format.fprintf ppf "%a.%a:%a;" Proc.pp p Gid.pp g (Seqs.pp M.pp) q))
-      (Pg_map.bindings s.pending)
-      (Format.pp_print_list (fun ppf ((p, g), n) ->
-           Format.fprintf ppf "%a.%a=%d;" Proc.pp p Gid.pp g n))
-      (Pg_map.bindings s.next)
-      (Format.pp_print_list (fun ppf ((p, g), n) ->
-           Format.fprintf ppf "%a.%a=%d;" Proc.pp p Gid.pp g n))
-      (Pg_map.bindings s.next_safe);
-    Format.pp_print_flush ppf ();
+    key_to_buffer buf s;
     Buffer.contents buf
 
   let pp_action ppf = function

@@ -49,18 +49,30 @@ let pp ppf t =
   Format.fprintf ppf "daemon: %d views issued, next %a" (View.Set.cardinal t.issued)
     Gid.pp t.next_id
 
+let key_to_buffer buf t =
+  let semi () = Buffer.add_char buf ';' in
+  Buffer.add_string buf "is";
+  View.Set.to_buffer buf t.issued;
+  Buffer.add_string buf "|nx";
+  Gid.to_buffer buf t.next_id;
+  Buffer.add_string buf "|nt[";
+  Fill.sep_bindings ~sep:semi Proc.Map.fold
+    (fun p g ->
+      Proc.to_buffer buf p;
+      Buffer.add_char buf '=';
+      Gid.Bot.to_buffer buf g)
+    t.notified;
+  Buffer.add_string buf "]|cp[";
+  List.iteri
+    (fun i c ->
+      if i > 0 then semi ();
+      Proc.Set.to_buffer buf c)
+    t.components;
+  Buffer.add_char buf ']'
+
 let state_key t =
   let buf = Buffer.create 128 in
-  let ppf = Format.formatter_of_buffer buf in
-  let semi ppf () = Format.pp_print_string ppf ";" in
-  Format.fprintf ppf "is%a|nx%a|nt[%a]|cp[%a]" View.Set.pp t.issued Gid.pp
-    t.next_id
-    (Format.pp_print_list ~pp_sep:semi (fun ppf (p, g) ->
-         Format.fprintf ppf "%a=%a" Proc.pp p Gid.Bot.pp g))
-    (Proc.Map.bindings t.notified)
-    (Format.pp_print_list ~pp_sep:semi Proc.Set.pp)
-    t.components;
-  Format.pp_print_flush ppf ();
+  key_to_buffer buf t;
   Buffer.contents buf
 
 (* A function, so that the stack can nest it under its own payload type. *)

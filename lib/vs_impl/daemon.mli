@@ -59,6 +59,9 @@ val pp : Format.formatter -> t -> unit
     exploration. *)
 val state_key : t -> string
 
+(** [key_to_buffer buf t] appends [state_key t] to [buf]. *)
+val key_to_buffer : Buffer.t -> t -> unit
+
 (** Flat canonical codec over the same components {!state_key} renders;
     injective up to [equal]. *)
 val codec : t Check.Codec.f

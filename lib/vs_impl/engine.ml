@@ -377,7 +377,10 @@ module Make (M : Msg_intf.S) = struct
         | Some s ->
             let origin, msg =
               match Pg_map.find_opt (g, sn) st.rcv_buf with
-              | Some (m, o) -> (Proc.to_string o, Format.asprintf "%a" M.pp m)
+              | Some (m, o) ->
+                  let b = Buffer.create 16 in
+                  M.to_buffer b m;
+                  (Proc.to_string o, Buffer.contents b)
               | None -> ("?", "?")
             in
             Obs.Trace.point s ~component:trace_component ~cls:"deliver"
@@ -488,40 +491,76 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering (dedup-key component for exhaustive
      exploration); injective whenever [M.pp] is. *)
+  let key_to_buffer buf st =
+    let add = Buffer.add_string buf and chr = Buffer.add_char buf in
+    let semi () = chr ';' in
+    let int n = add (string_of_int n) in
+    let mp buf (m, q) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf q
+    in
+    let gmap f m =
+      Fill.sep_bindings ~sep:semi Gid.Map.fold
+        (fun g x ->
+          Gid.to_buffer buf g;
+          chr ':';
+          f x)
+        m
+    in
+    let gints m = gmap int m in
+    let pgints m =
+      Fill.sep_bindings ~sep:semi Pg_map.fold
+        (fun (p, g) n ->
+          Proc.to_buffer buf p;
+          chr '.';
+          Gid.to_buffer buf g;
+          chr '=';
+          int n)
+        m
+    in
+    add "me";
+    Proc.to_buffer buf st.me;
+    add "|cur";
+    (match st.cur with None -> add "⊥" | Some v -> View.to_buffer buf v);
+    add "|vs[";
+    gmap (View.to_buffer buf) st.views_seen;
+    add "]|oq[";
+    gmap (Seqs.to_buffer M.to_buffer buf) st.outq;
+    add "]|fl[";
+    gmap (Seqs.to_buffer M.to_buffer buf) st.fwd_log;
+    add "]|sl[";
+    gmap (Seqs.to_buffer mp buf) st.seq_log;
+    add "]|fw[";
+    pgints st.fwd_seen;
+    add "]|bs[";
+    pgints st.bcast_sent;
+    add "]|ab[";
+    pgints st.acked_by;
+    add "]|ss[";
+    pgints st.stable_sent;
+    add "]|rb[";
+    Fill.sep_bindings ~sep:semi Pg_map.fold
+      (fun (g, sn) x ->
+        Gid.to_buffer buf g;
+        chr '.';
+        int sn;
+        chr '=';
+        mp buf x)
+      st.rcv_buf;
+    add "]|nd[";
+    gints st.next_deliver;
+    add "]|ns[";
+    gints st.next_safe;
+    add "]|au[";
+    gints st.acked_upto;
+    add "]|su[";
+    gints st.stable_upto;
+    chr ']'
+
   let state_key st =
     let buf = Buffer.create 512 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    let plist pp_x ppf xs = Format.pp_print_list ~pp_sep:semi pp_x ppf xs in
-    let mp ppf (m, q) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp q in
-    let gmap pp_x ppf m =
-      plist (fun ppf (g, x) -> Format.fprintf ppf "%a:%a" Gid.pp g pp_x x) ppf
-        (Gid.Map.bindings m)
-    in
-    let gints ppf m = gmap Format.pp_print_int ppf m in
-    let pgints ppf m =
-      plist
-        (fun ppf ((p, g), n) ->
-          Format.fprintf ppf "%a.%a=%d" Proc.pp p Gid.pp g n)
-        ppf (Pg_map.bindings m)
-    in
-    Format.fprintf ppf
-      "me%a|cur%a|vs[%a]|oq[%a]|fl[%a]|sl[%a]|fw[%a]|bs[%a]|ab[%a]|ss[%a]|rb[%a]|nd[%a]|ns[%a]|au[%a]|su[%a]"
-      Proc.pp st.me
-      (fun ppf -> function
-        | None -> Format.pp_print_string ppf "⊥"
-        | Some v -> View.pp ppf v)
-      st.cur (gmap View.pp) st.views_seen
-      (gmap (Seqs.pp M.pp)) st.outq
-      (gmap (Seqs.pp M.pp)) st.fwd_log
-      (gmap (Seqs.pp mp)) st.seq_log pgints st.fwd_seen pgints st.bcast_sent
-      pgints st.acked_by pgints st.stable_sent
-      (plist (fun ppf ((g, sn), x) ->
-           Format.fprintf ppf "%a.%d=%a" Gid.pp g sn mp x))
-      (Pg_map.bindings st.rcv_buf)
-      gints st.next_deliver gints st.next_safe gints st.acked_upto gints
-      st.stable_upto;
-    Format.pp_print_flush ppf ();
+    key_to_buffer buf st;
     Buffer.contents buf
 
   let variant_c =

@@ -197,6 +197,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
       exploration; injective whenever [M.pp] is. *)
   val state_key : state -> string
 
+  (** [key_to_buffer buf st] appends [state_key st] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
+
   (** Flat canonical codec over every state field in declaration order,
       given a payload codec; injective up to structural equality whenever
       the payload codec is. *)

@@ -149,24 +149,43 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering; [blocked] is sorted so states equal
      under [equal] (which is order-insensitive) render identically. *)
-  let state_key s =
-    let buf = Buffer.create 256 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    Format.fprintf ppf "ch[%a]|bl[%a]"
-      (Format.pp_print_list ~pp_sep:semi (fun ppf ((src, dst), q) ->
-           Format.fprintf ppf "%a>%a:%a" Proc.pp src Proc.pp dst
-             (Seqs.pp (Packet.pp M.pp)) q))
-      (Pg_map.bindings s.channels)
-      (Format.pp_print_list ~pp_sep:semi (fun ppf (p, q) ->
-           Format.fprintf ppf "%a-%a" Proc.pp p Proc.pp q))
+  let key_to_buffer buf s =
+    let add = Buffer.add_string buf and chr = Buffer.add_char buf in
+    let semi () = chr ';' in
+    add "ch[";
+    Fill.sep_bindings ~sep:semi Pg_map.fold
+      (fun (src, dst) q ->
+        Proc.to_buffer buf src;
+        chr '>';
+        Proc.to_buffer buf dst;
+        chr ':';
+        Seqs.to_buffer (Packet.to_buffer M.to_buffer) buf q)
+      s.channels;
+    add "]|bl[";
+    List.iteri
+      (fun i (p, q) ->
+        if i > 0 then semi ();
+        Proc.to_buffer buf p;
+        chr '-';
+        Proc.to_buffer buf q)
       (List.sort_uniq compare s.blocked);
+    chr ']';
     (* Remaining fault budgets distinguish future behaviour, so they must
        be part of the dedup key whenever faults are possible; the lossless
        policy renders nothing, keeping the original key byte-identical. *)
-    if Fault.is_faulty s.faults then
-      Format.fprintf ppf "|f[%d,%d,%d]" s.dropped s.duplicated s.reordered;
-    Format.pp_print_flush ppf ();
+    if Fault.is_faulty s.faults then begin
+      add "|f[";
+      add (string_of_int s.dropped);
+      chr ',';
+      add (string_of_int s.duplicated);
+      chr ',';
+      add (string_of_int s.reordered);
+      chr ']'
+    end
+
+  let state_key s =
+    let buf = Buffer.create 256 in
+    key_to_buffer buf s;
     Buffer.contents buf
 
   (* [blocked] is written sorted-deduplicated and compares as a set.  The

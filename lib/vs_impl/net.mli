@@ -128,6 +128,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
       keys byte-identical to the pre-fault-model ones. *)
   val state_key : state -> string
 
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
+
   (** Flat canonical codec, given a payload codec.  The blocked-pair list
       is written sorted-deduplicated, so set-equal states encode
       identically; the fault policy and consumed budgets are encoded in

@@ -51,6 +51,39 @@ let pp pp_m ppf = function
   | Ack { gid; upto } -> Format.fprintf ppf "ack[%a]≤%d" Gid.pp gid upto
   | Stable { gid; upto } -> Format.fprintf ppf "stable[%a]≤%d" Gid.pp gid upto
 
+let to_buffer m buf pkt =
+  let add = Buffer.add_string buf in
+  let head tag gid =
+    add tag;
+    Gid.to_buffer buf gid;
+    Buffer.add_char buf ']'
+  in
+  match pkt with
+  | Fwd { gid; fsn; payload } ->
+      head "fwd[" gid;
+      Buffer.add_char buf '#';
+      add (string_of_int fsn);
+      Buffer.add_char buf '(';
+      m buf payload;
+      Buffer.add_char buf ')'
+  | Seq { gid; sn; origin; payload } ->
+      head "seq[" gid;
+      Buffer.add_char buf '#';
+      add (string_of_int sn);
+      Buffer.add_char buf '(';
+      m buf payload;
+      add " from ";
+      Proc.to_buffer buf origin;
+      Buffer.add_char buf ')'
+  | Ack { gid; upto } ->
+      head "ack[" gid;
+      add "≤";
+      add (string_of_int upto)
+  | Stable { gid; upto } ->
+      head "stable[" gid;
+      add "≤";
+      add (string_of_int upto)
+
 (* Flat canonical codec: tag byte + constructor fields in declaration
    order; canonical because every field codec is. *)
 let codec (m : 'm Check.Codec.f) : 'm t Check.Codec.f =

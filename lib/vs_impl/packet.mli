@@ -39,6 +39,10 @@ val compare : ('m -> 'm -> int) -> 'm t -> 'm t -> int
 val pp :
   (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit
 
+(** [to_buffer m buf pkt] appends [pp]'s rendering of [pkt] to [buf], the
+    payload written by [m]. *)
+val to_buffer : (Buffer.t -> 'm -> unit) -> Buffer.t -> 'm t -> unit
+
 (** Flat canonical codec (tag byte + constructor fields), given a codec
     for the payload; injective up to [compare] equality whenever the
     payload codec is. *)

@@ -163,20 +163,23 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering — net, daemon and every engine —
      used as the dedup key for exhaustive exploration. *)
-  let state_key s =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (N.state_key s.net);
+  let key_to_buffer buf s =
+    N.key_to_buffer buf s.net;
     Buffer.add_string buf "||";
-    Buffer.add_string buf (Daemon.state_key s.daemon);
+    Daemon.key_to_buffer buf s.daemon;
     Proc.Map.iter
       (fun p e ->
         Buffer.add_char buf '#';
         Proc.to_buffer buf p;
         Buffer.add_char buf ':';
-        Buffer.add_string buf (E.state_key e))
+        E.key_to_buffer buf e)
       s.engines;
     Buffer.add_string buf "|p0";
-    Proc.Set.to_buffer buf s.p0;
+    Proc.Set.to_buffer buf s.p0
+
+  let state_key s =
+    let buf = Buffer.create 1024 in
+    key_to_buffer buf s;
     Buffer.contents buf
 
   (* A step replaces at most one engine and the net, sharing the rest with

@@ -99,6 +99,9 @@ module Make (M : Prelude.Msg_intf.S) : sig
       as the dedup key for exhaustive exploration. *)
   val state_key : state -> string
 
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
+
   (** Flat canonical codec — net, daemon, every engine and the initial
       membership — given a payload codec.  The net, daemon and engine
       codecs are {!Check.Codec.memo}-wrapped. *)
