@@ -591,99 +591,166 @@ let digest_bytes = 16
 
 (* The frame is [magic · id · version · body-length · body · checksum];
    the checksum digests [id · version · body] (skipping the magic and the
-   length, which have their own structural checks).  Because the
-   fingerprint is chunking-independent, the same digest is obtained from
-   the contiguous scratch preimage below. *)
-
-let frame_digest frame ~seg_pos ~seg_len ~body_pos ~body_len =
-  let c = Fingerprint.create () in
-  Fingerprint.feed_bytes c frame ~pos:seg_pos ~len:seg_len;
-  Fingerprint.feed_bytes c frame ~pos:body_pos ~len:body_len;
-  Fingerprint.finish c
+   length, which have their own structural checks), as two ranges of the
+   frame ({!Fingerprint.store2}).  A two-range digest is the digest of the
+   ranges joined, so it equals the digest of the contiguous scratch
+   preimage below. *)
 
 let rec uvarint_size n =
   if n land lnot 0x7f = 0 then 1 else 1 + uvarint_size (n lsr 7)
 
+(* [n]'s unsigned LEB128 at [pos] of [b]; the position after it. *)
+let rec put_uvarint b pos n =
+  if n land lnot 0x7f = 0 then begin
+    Bytes.set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    put_uvarint b (pos + 1) (n lsr 7)
+  end
+
 (* The body goes to a buffer kept per domain between calls (a field
    writer that encodes re-entrantly gets a fresh one), so a frame costs
-   one allocation, of exactly its size, not a doubling series. *)
+   no allocation beyond the room its caller provides. *)
 let body_buffer = Domain.DLS.new_key (fun () -> ref (Some (wb_create 256)))
 
-let encode t s =
+let encode_to t s room =
   let slot = Domain.DLS.get body_buffer in
   let body = match !slot with Some b -> b | None -> wb_create 256 in
   slot := None;
   body.len <- 0;
-  (try t.c_f.wr body s
-   with e ->
-     slot := Some body;
-     raise e);
+  match
+    t.c_f.wr body s;
+    let id_len = String.length t.c_id in
+    let size =
+      1 + uvarint_size id_len + id_len + uvarint_size t.c_version
+      + uvarint_size body.len + body.len + digest_bytes
+    in
+    let dst, pos = room size in
+    Bytes.set dst pos (Char.unsafe_chr magic);
+    let p = put_uvarint dst (pos + 1) id_len in
+    Bytes.blit_string t.c_id 0 dst p id_len;
+    let p = put_uvarint dst (p + id_len) t.c_version in
+    let body_pos = put_uvarint dst p body.len in
+    Bytes.blit body.b 0 dst body_pos body.len;
+    Fingerprint.store2 dst ~pos1:(pos + 1) ~len1:(p - pos - 1) ~pos2:body_pos
+      ~len2:body.len ~at:(body_pos + body.len)
+  with
+  | () -> slot := Some body
+  | exception e ->
+      slot := Some body;
+      raise e
+
+let encode t s =
+  let frame = ref Bytes.empty in
+  encode_to t s (fun n ->
+      frame := Bytes.create n;
+      (!frame, 0));
+  !frame
+
+(* [frame_check]'s failures, each the first check of its kind to fail. *)
+let bad_magic = -1
+let bad_header = -2
+let bad_length = -3
+let bad_checksum = -4
+
+(* The position after [n]'s varint at [p], if [b] holds it there, as
+   {!put_uvarint} writes it; -1 otherwise. *)
+let rec uvarint_at b p stop n =
+  if p >= stop then -1
+  else
+    let c = Char.code (Bytes.unsafe_get b p) in
+    if n land lnot 0x7f = 0 then if c = n then p + 1 else -1
+    else if c = 0x80 lor (n land 0x7f) then uvarint_at b (p + 1) stop (n lsr 7)
+    else -1
+
+(* The frame at [pos, pos + len) of [b], checked in place in {!decode}'s
+   order — magic, id and version (compared with the bytes {!encode_to}
+   writes for them), body length, checksum — allocating nothing: the
+   body's offset, or one of the negative codes above. *)
+let frame_check t b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Codec.check_frame: range";
+  let stop = pos + len in
   let id_len = String.length t.c_id in
-  let size =
-    1 + uvarint_size id_len + id_len + uvarint_size t.c_version
-    + uvarint_size body.len + body.len + digest_bytes
-  in
-  let w = { b = Bytes.create size; len = 0; memo_on = false; caches = [||] } in
-  w_u8 w magic;
-  let seg_pos = w.len in
-  w_string w t.c_id;
-  w_uvarint w t.c_version;
-  let seg_len = w.len - seg_pos in
-  w_uvarint w body.len;
-  let body_pos = w.len in
-  Bytes.blit body.b 0 w.b w.len body.len;
-  w.len <- w.len + body.len;
-  slot := Some body;
-  let d = frame_digest w.b ~seg_pos ~seg_len ~body_pos ~body_len:body.len in
-  Bytes.set_int64_be w.b w.len d.Fingerprint.hi;
-  Bytes.set_int64_be w.b (w.len + 8) d.Fingerprint.lo;
-  assert (w.len + digest_bytes = size);
-  w.b
+  if len = 0 || Char.code (Bytes.unsafe_get b pos) <> magic then bad_magic
+  else begin
+    let id_pos = uvarint_at b (pos + 1) stop id_len in
+    let same = ref (id_pos >= 0 && id_pos + id_len <= stop) and i = ref 0 in
+    while !same && !i < id_len do
+      same := Bytes.unsafe_get b (id_pos + !i) = String.unsafe_get t.c_id !i;
+      incr i
+    done;
+    let header_end =
+      if !same then uvarint_at b (id_pos + id_len) stop t.c_version else -1
+    in
+    if header_end < 0 then bad_header
+    else begin
+      (* the body-length varint, read in locals *)
+      let p = ref header_end and n = ref 0 and shift = ref 0 in
+      let reading = ref true in
+      while !reading do
+        if !p >= stop || !shift > 56 then begin
+          n := -1;
+          reading := false
+        end
+        else begin
+          let c = Char.code (Bytes.unsafe_get b !p) in
+          incr p;
+          n := !n lor ((c land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          if c land 0x80 = 0 then reading := false
+        end
+      done;
+      let body_pos = !p and body_len = !n in
+      if body_len < 0 || stop - body_pos <> body_len + digest_bytes then
+        bad_length
+      else if
+        not
+          (Fingerprint.check2 b ~pos1:(pos + 1) ~len1:(header_end - pos - 1)
+             ~pos2:body_pos ~len2:body_len ~at:(body_pos + body_len))
+      then bad_checksum
+      else body_pos
+    end
+  end
+
+let check_frame t b ~pos ~len = max (-1) (frame_check t b ~pos ~len)
+
+(* Why [frame_check] refused a frame.  Only a refused frame gets here,
+   so only it pays for reading its id back. *)
+let frame_error t b ~pos ~len code =
+  if code = bad_magic then "bad magic byte"
+  else if code = bad_length then "frame length mismatch"
+  else if code = bad_checksum then "checksum mismatch"
+  else
+    let r = { data = b; pos = pos + 1; limit = pos + len } in
+    match r_string r with
+    | exception Malformed msg -> "malformed frame: " ^ msg
+    | fid when not (String.equal fid t.c_id) ->
+        Printf.sprintf "codec id mismatch: frame is %S, expected %S" fid t.c_id
+    | _ -> (
+        match r_uvarint r with
+        | exception Malformed msg -> "malformed frame: " ^ msg
+        | v when v <> t.c_version ->
+            Printf.sprintf "wrong version: frame is v%d, this codec is v%d" v
+              t.c_version
+        | _ -> "malformed frame header")
 
 let decode_sub t frame ~pos ~len =
-  try
-    if pos < 0 || len < 0 || pos > Bytes.length frame - len then
-      invalid_arg "Codec.decode_sub: range";
-    let r = { data = frame; pos; limit = pos + len } in
-    if r_u8 r <> magic then Error "bad magic byte"
-    else begin
-      let seg_pos = r.pos in
-      let fid = r_string r in
-      let fversion = r_uvarint r in
-      let seg_len = r.pos - seg_pos in
-      if not (String.equal fid t.c_id) then
-        Error
-          (Printf.sprintf "codec id mismatch: frame is %S, expected %S" fid
-             t.c_id)
-      else if fversion <> t.c_version then
-        Error
-          (Printf.sprintf "wrong version: frame is v%d, this codec is v%d"
-             fversion t.c_version)
-      else begin
-        let body_len = r_uvarint r in
-        let body_pos = r.pos in
-        if r.limit - body_pos <> body_len + digest_bytes then
-          Error "frame length mismatch"
-        else begin
-          let d =
-            frame_digest frame ~seg_pos ~seg_len ~body_pos ~body_len
-          in
-          let hi = Bytes.get_int64_be frame (body_pos + body_len) in
-          let lo = Bytes.get_int64_be frame (body_pos + body_len + 8) in
-          if not (Int64.equal d.Fingerprint.hi hi && Int64.equal d.Fingerprint.lo lo)
-          then Error "checksum mismatch"
-          else begin
-            let s = t.c_f.rd r in
-            if r.pos <> body_pos + body_len then
-              Error "body length mismatch"
-            else Ok s
-          end
-        end
-      end
-    end
-  with
-  | Malformed msg -> Error ("malformed frame: " ^ msg)
-  | Invalid_argument msg | Failure msg -> Error ("malformed body: " ^ msg)
+  if pos < 0 || len < 0 || pos > Bytes.length frame - len then
+    Error "frame range out of bounds"
+  else
+    let body_pos = frame_check t frame ~pos ~len in
+    if body_pos < 0 then Error (frame_error t frame ~pos ~len body_pos)
+    else
+      let body_end = pos + len - digest_bytes in
+      let r = { data = frame; pos = body_pos; limit = body_end } in
+      match t.c_f.rd r with
+      | s -> if r.pos <> body_end then Error "body length mismatch" else Ok s
+      | exception Malformed msg -> Error ("malformed frame: " ^ msg)
+      | exception (Invalid_argument msg | Failure msg) ->
+          Error ("malformed body: " ^ msg)
 
 let decode t frame = decode_sub t frame ~pos:0 ~len:(Bytes.length frame)
 

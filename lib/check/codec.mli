@@ -152,6 +152,14 @@ val encode : 's t -> 's -> bytes
     Allocates only the frame: the body is written to a buffer each domain
     keeps between calls. *)
 
+val encode_to : 's t -> 's -> (int -> bytes * int) -> unit
+(** [encode_to t s room] writes {!encode}'s bytes for [s] where the
+    caller wants them: [room n] names a buffer and an offset with [n]
+    free bytes there, [n] being the frame's length.  A connection
+    appends frames to its output buffer this way, with no frame
+    allocated in between.  An exception [room] raises propagates, and
+    nothing is written. *)
+
 val decode : 's t -> bytes -> ('s, string) result
 (** Inverse of {!encode}.  Checks, in order: magic, id, version (so a
     version mismatch is reported as such, not as corruption), frame
@@ -164,6 +172,15 @@ val decode : 's t -> bytes -> ('s, string) result
 val decode_sub : 's t -> bytes -> pos:int -> len:int -> ('s, string) result
 (** {!decode} of the frame at [pos, pos + len) of a larger buffer, with
     no copy of it. *)
+
+val check_frame : 's t -> bytes -> pos:int -> len:int -> int
+(** The frame check {!decode_sub} makes before reading the body — magic,
+    id, version, frame length and checksum — on the frame at
+    [pos, pos + len), in place and allocating nothing: the offset of the
+    frame's body when every check holds, otherwise [-1].  A router can
+    forward a verified frame's bytes as they are, reading only the few
+    body bytes it routes on.  Raises [Invalid_argument] when the range
+    is not within the buffer. *)
 
 (** {1 Fingerprinting without framing}
 

@@ -28,17 +28,6 @@ let mult2 = 0xC2B2AE3D27D4EB4FL
 let basis1 = 0xcbf29ce484222325L
 let basis2 = 0x84222325cbf29ce4L
 
-type ctx = {
-  mutable h1 : int64;
-  mutable h2 : int64;
-  mutable len : int;
-  pending : Bytes.t;  (* carry for word chunks split across [feed]s *)
-  mutable pfill : int;
-}
-
-let create () =
-  { h1 = basis1; h2 = basis2; len = 0; pending = Bytes.create 8; pfill = 0 }
-
 let[@inline] mix1 h w =
   let z = Int64.mul (Int64.logxor h w) mult1 in
   Int64.logxor z (Int64.shift_right_logical z 29)
@@ -46,35 +35,6 @@ let[@inline] mix1 h w =
 let[@inline] mix2 h w =
   let z = Int64.mul (Int64.add h w) mult2 in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let[@inline] mix_word c w =
-  c.h1 <- mix1 c.h1 w;
-  c.h2 <- mix2 c.h2 w
-
-let feed c s =
-  let n = String.length s in
-  c.len <- c.len + n;
-  let i = ref 0 in
-  if c.pfill > 0 then begin
-    while c.pfill < 8 && !i < n do
-      Bytes.unsafe_set c.pending c.pfill (String.unsafe_get s !i);
-      c.pfill <- c.pfill + 1;
-      incr i
-    done;
-    if c.pfill = 8 then begin
-      mix_word c (Bytes.get_int64_le c.pending 0);
-      c.pfill <- 0
-    end
-  end;
-  while !i + 8 <= n do
-    mix_word c (String.get_int64_le s !i);
-    i := !i + 8
-  done;
-  while !i < n do
-    Bytes.unsafe_set c.pending c.pfill (String.unsafe_get s !i);
-    c.pfill <- c.pfill + 1;
-    incr i
-  done
 
 (* splitmix64 finalizer: full avalanche per lane. *)
 let[@inline] mix64 z =
@@ -93,51 +53,9 @@ let[@inline] finish_lanes h1 h2 len =
   let h2 = Int64.add h2 h1 in
   { hi = h1; lo = h2 }
 
-let finish c =
-  if c.pfill > 0 then begin
-    for j = c.pfill to 7 do Bytes.unsafe_set c.pending j '\000' done;
-    mix_word c (Bytes.get_int64_le c.pending 0);
-    c.pfill <- 0
-  end;
-  finish_lanes c.h1 c.h2 c.len
-
-let feed_bytes c b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then
-    invalid_arg "Fingerprint.feed_bytes";
-  c.len <- c.len + len;
-  let i = ref pos in
-  let stop = pos + len in
-  if c.pfill > 0 then begin
-    while c.pfill < 8 && !i < stop do
-      Bytes.unsafe_set c.pending c.pfill (Bytes.unsafe_get b !i);
-      c.pfill <- c.pfill + 1;
-      incr i
-    done;
-    if c.pfill = 8 then begin
-      mix_word c (Bytes.get_int64_le c.pending 0);
-      c.pfill <- 0
-    end
-  end;
-  (* lanes in locals for the bulk, as in [of_bytes]: unboxed *)
-  let h1 = ref c.h1 and h2 = ref c.h2 in
-  while !i + 8 <= stop do
-    let w = Bytes.get_int64_le b !i in
-    h1 := mix1 !h1 w;
-    h2 := mix2 !h2 w;
-    i := !i + 8
-  done;
-  c.h1 <- !h1;
-  c.h2 <- !h2;
-  while !i < stop do
-    Bytes.unsafe_set c.pending c.pfill (Bytes.unsafe_get b !i);
-    c.pfill <- c.pfill + 1;
-    incr i
-  done
-
-(* The one-shot digest of a contiguous range: the same words, lanes and
-   finalizer as [create]/[feed_bytes]/[finish], but with the lanes in
-   local variables, which the compiler keeps unboxed — the streaming
-   context's [mutable int64] fields box on every word. *)
+(* The digest of a contiguous range, with the lanes in local variables,
+   which the compiler keeps unboxed (in mutable record fields an
+   [int64] is boxed on every word). *)
 let of_bytes b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Fingerprint.of_bytes";
@@ -165,6 +83,92 @@ let of_bytes b ~pos ~len =
 
 let of_string s =
   of_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+(* Byte [c] at position [k] of the little-endian word [w]. *)
+let[@inline] put_byte w k c =
+  Int64.logor w (Int64.shift_left (Int64.of_int (Char.code c)) (8 * k))
+
+(* The digest of two ranges of [b], as [of_bytes] of their concatenation,
+   either stored big-endian (hi lane first) at [at] or compared with the
+   16 bytes there.  One function, so the lanes stay in unboxed locals
+   from the first word to the store or the comparison: nothing is
+   allocated.  A word may straddle the two ranges; [carry] holds the
+   first range's trailing bytes, little-endian, until the second
+   completes it. *)
+let digest2 ~store b ~pos1 ~len1 ~pos2 ~len2 ~at =
+  if
+    pos1 < 0 || len1 < 0 || pos1 > Bytes.length b - len1 || pos2 < 0
+    || len2 < 0 || pos2 > Bytes.length b - len2 || at < 0
+    || at > Bytes.length b - 16
+  then invalid_arg "Fingerprint.digest2";
+  let h1 = ref basis1 and h2 = ref basis2 in
+  let stop1 = pos1 + len1 in
+  let i = ref pos1 in
+  while !i + 8 <= stop1 do
+    let w = Bytes.get_int64_le b !i in
+    h1 := mix1 !h1 w;
+    h2 := mix2 !h2 w;
+    i := !i + 8
+  done;
+  let carry = ref 0L and fill = ref 0 in
+  while !i < stop1 do
+    carry := put_byte !carry !fill (Bytes.unsafe_get b !i);
+    incr fill;
+    incr i
+  done;
+  let stop2 = pos2 + len2 in
+  i := pos2;
+  if !fill > 0 then begin
+    while !fill < 8 && !i < stop2 do
+      carry := put_byte !carry !fill (Bytes.unsafe_get b !i);
+      incr fill;
+      incr i
+    done;
+    if !fill = 8 then begin
+      h1 := mix1 !h1 !carry;
+      h2 := mix2 !h2 !carry;
+      carry := 0L;
+      fill := 0
+    end
+  end;
+  while !i + 8 <= stop2 do
+    let w = Bytes.get_int64_le b !i in
+    h1 := mix1 !h1 w;
+    h2 := mix2 !h2 w;
+    i := !i + 8
+  done;
+  while !i < stop2 do
+    carry := put_byte !carry !fill (Bytes.unsafe_get b !i);
+    incr fill;
+    incr i
+  done;
+  if !fill > 0 then begin
+    h1 := mix1 !h1 !carry;
+    h2 := mix2 !h2 !carry
+  end;
+  (* [finish_lanes] without its record *)
+  let len = Int64.of_int (len1 + len2) in
+  let x1 = Int64.logxor !h1 len and x2 = Int64.logxor !h2 len in
+  let x1 = Int64.add x1 x2 in
+  let x2 = Int64.add x2 x1 in
+  let x1 = mix64 x1 in
+  let x2 = mix64 x2 in
+  let hi = Int64.add x1 x2 in
+  let lo = Int64.add x2 hi in
+  if store then begin
+    Bytes.set_int64_be b at hi;
+    Bytes.set_int64_be b (at + 8) lo;
+    true
+  end
+  else
+    Int64.equal hi (Bytes.get_int64_be b at)
+    && Int64.equal lo (Bytes.get_int64_be b (at + 8))
+
+let store2 b ~pos1 ~len1 ~pos2 ~len2 ~at =
+  ignore (digest2 ~store:true b ~pos1 ~len1 ~pos2 ~len2 ~at)
+
+let check2 b ~pos1 ~len1 ~pos2 ~len2 ~at =
+  digest2 ~store:false b ~pos1 ~len1 ~pos2 ~len2 ~at
 
 (* Range partition of the high lane's top 16 bits.  The owner of a
    fingerprint must be decorrelated from every other consumer of its

@@ -17,8 +17,8 @@
     The hash is a fixed, platform-independent function of the byte sequence:
     two multiply-xor lanes fed 64-bit little-endian words, finalized
     murmur3-style with the total length mixed in.  Digests are stable across
-    runs and across chunkings — feeding a key incrementally in any pieces
-    yields the same digest as hashing the concatenation. *)
+    runs, and a digest of two ranges ({!store2}) is the digest of their
+    concatenation. *)
 
 type t = { hi : int64; lo : int64 }
 
@@ -42,19 +42,20 @@ val of_string : string -> t
     directly (see {!Codec.fingerprint}). *)
 val of_bytes : bytes -> pos:int -> len:int -> t
 
-(** Incremental digesting, for keys assembled from fragments. *)
-type ctx
+(** [store2 b ~pos1 ~len1 ~pos2 ~len2 ~at] writes the digest of the
+    concatenation of two ranges of [b] — {!of_bytes} of the two, joined —
+    into [b] at [at..at+15], high lane first, each lane big-endian.  The
+    lanes stay unboxed to the store, so the call allocates nothing.  This
+    is a framed {!Codec} image's checksum: it digests the frame header's
+    id and version and the body, skipping the body-length varint between
+    them. *)
+val store2 :
+  bytes -> pos1:int -> len1:int -> pos2:int -> len2:int -> at:int -> unit
 
-val create : unit -> ctx
-val feed : ctx -> string -> unit
-
-(** [feed_bytes c b ~pos ~len] feeds a byte range; chunking-independent
-    like {!feed}, so mixed [feed]/[feed_bytes] sequences digest the
-    concatenation. *)
-val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
-
-(** Finalizes and returns the digest.  The context must not be fed again. *)
-val finish : ctx -> t
+(** [check2] is whether the 16 bytes at [at] are what {!store2} would
+    write there; it allocates nothing. *)
+val check2 :
+  bytes -> pos1:int -> len1:int -> pos2:int -> len2:int -> at:int -> bool
 
 (** [shard fp ~shards] maps the fingerprint to its owning shard in
     [0 .. shards - 1] by range-partitioning the high lane's top 16 bits

@@ -15,7 +15,9 @@
 
     The [variant] parameter selects deliberately broken mutants used to
     demonstrate that the safety checks in this repository are discriminating
-    (see {!Mutations}). *)
+    ({!type-variant}; [test/test_dvs_impl.ml] shows each caught).  The
+    engine-level mutants are the [defect-*] entries of
+    [Analysis.Registry.defects]. *)
 
 type variant =
   | Faithful  (** the paper's algorithm *)

@@ -54,16 +54,31 @@ let reserve t n =
     t.out_end <- pending
   end
 
-(* The stream form of {!Wire.to_wire}, written straight into the
-   buffer: one copy of the image, not two. *)
+(* Room for an [n]-byte frame image at the end of the buffer, behind its
+   length: the image's offset in [t.out].  A frame the receiving reader
+   would refuse is refused here. *)
+let room t n =
+  if n > Wire.max_frame then
+    invalid_arg
+      (Printf.sprintf "Conn: a %d-byte frame exceeds Wire.max_frame" n);
+  reserve t (4 + n);
+  Bytes.set_int32_be t.out t.out_end (Int32.of_int n);
+  let at = t.out_end + 4 in
+  t.out_end <- at + n;
+  at
+
+(* The stream form of {!Wire.to_wire}, encoded straight into the
+   buffer: the image is written once, where it will be sent from. *)
 let send t frame =
+  if t.alive then
+    Check.Codec.encode_to Wire.codec frame (fun n ->
+        let at = room t n in
+        (t.out, at))
+
+let send_image t b ~pos ~len =
   if t.alive then begin
-    let b = Wire.encode frame in
-    let n = Bytes.length b in
-    reserve t (4 + n);
-    Bytes.set_int32_be t.out t.out_end (Int32.of_int n);
-    Bytes.blit b 0 t.out (t.out_end + 4) n;
-    t.out_end <- t.out_end + 4 + n
+    let at = room t len in
+    Bytes.blit b pos t.out at len
   end
 
 (* [Unix.single_write] moves at most 64 KiB per call, so a flush costs
@@ -82,19 +97,22 @@ let flush t =
   in
   go ()
 
-(* Frames go to [f] as each read's bytes decode, so none outlives its
-   handling: a storm poll reads thousands, and a list of them would be
-   promoted to the major heap.  Stops as soon as the connection dies,
-   [f] closing it included. *)
-let recv t f =
+(* Images go to [f] as each read's bytes complete them, so none
+   outlives its handling: a storm poll reads thousands of frames, and a
+   list of them would be promoted to the major heap.  Stops as soon as
+   the connection dies, [f] closing or failing it included. *)
+let recv_images t f =
   let rec frames () =
     if t.alive then
-      match Wire.Reader.next t.reader with
-      | Ok (Some frame) ->
-          f frame;
-          frames ()
-      | Ok None -> ()
-      | Error e -> die t ("framing: " ^ e)
+      let n = Wire.Reader.next t.reader in
+      if n >= 0 then begin
+        f (Wire.Reader.buffer t.reader) (Wire.Reader.image_pos t.reader) n;
+        frames ()
+      end
+      else
+        match Wire.Reader.error t.reader with
+        | Some e -> die t ("framing: " ^ e)
+        | None -> ()
   in
   let rec read_all () =
     if t.alive then
@@ -108,6 +126,14 @@ let recv t f =
       | exception Unix.Unix_error (e, _, _) -> die t (Unix.error_message e)
   in
   read_all ()
+
+let fail = die
+
+let recv t f =
+  recv_images t (fun b pos len ->
+      match Wire.decode_sub b ~pos ~len with
+      | Ok frame -> f frame
+      | Error e -> die t ("framing: " ^ e))
 
 let close t =
   die t "closed";

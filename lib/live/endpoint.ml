@@ -91,9 +91,6 @@ let images st =
     st.E.views_seen []
   |> List.rev
 
-(* [archive]: the images of the views retired from [st], oldest first. *)
-let snapshot_of ~archive st =
-  Wire.Snapshot { proc = st.E.me; views = archive @ images st }
 
 let now () = Unix.gettimeofday ()
 
@@ -169,10 +166,10 @@ let loop ~trace_path ~trace_oc ~me ~retransmit_s conn fd =
             | Wire.Pkt { src; pkt; _ } -> st := E.on_packet ~sink !st ~src pkt
             | Wire.Client m -> st := E.on_gpsnd !st m
             | Wire.Snapshot_req ->
-                Conn.send conn (snapshot_of ~archive:!archive !st)
+                Wire.snapshot (!archive @ images !st) (Conn.send conn)
             | Wire.Shutdown -> running := false
-            | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot _
-            | Wire.Delivered _ | Wire.Violation _ ->
+            | Wire.Hello _ | Wire.Trace_line _ | Wire.Snapshot_part _
+            | Wire.Snapshot_done _ | Wire.Delivered _ | Wire.Violation _ ->
                 ());
           drain ()
         end

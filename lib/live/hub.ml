@@ -29,6 +29,11 @@ type t = {
   mutable delivered_total : int;
   mutable unique_delivered : int;
   mutable snaps : (Proc.t * (Gid.t * (string * Proc.t) list) list) list;
+  parts : (Proc.t, (Gid.t * string list) list) Hashtbl.t;
+      (* snapshots being received: per endpoint, the image pieces of its
+         views so far, newest view and newest piece first *)
+  round : (Gid.t, (string * (string * Proc.t) list) list) Hashtbl.t;
+      (* this snapshot round's distinct images per view, decoded *)
   mutable hub_seq : int;  (* seq for hub-authored soak events *)
   mutable last_note : float;
   mutable rr : int;
@@ -68,6 +73,8 @@ let create cfg =
     delivered_total = 0;
     unique_delivered = 0;
     snaps = [];
+    parts = Hashtbl.create 8;
+    round = Hashtbl.create 8;
     hub_seq = 0;
     last_note = 0.;
     rr = 0;
@@ -285,44 +292,103 @@ let reissue t =
 
 (* ---------------- routing ---------------- *)
 
-let deliver_copies t copies ~dst =
-  List.iter
-    (fun frame ->
-      match List.assoc_opt dst t.conns with
-      | Some c when Conn.alive c -> Conn.send c frame
-      | _ -> Obs.Metrics.incr t.metrics "soak.undeliverable")
-    copies
+(* A Pkt image to [dst]'s connection, as it is; a dead or absent
+   destination counts as undeliverable.  The scan allocates nothing. *)
+let rec forward t ~dst b pos len = function
+  | [] -> Obs.Metrics.incr t.metrics "soak.undeliverable"
+  | (p, c) :: rest ->
+      if not (Proc.equal p dst) then forward t ~dst b pos len rest
+      else if Conn.alive c then Conn.send_image c b ~pos ~len
+      else Obs.Metrics.incr t.metrics "soak.undeliverable"
+
+let route t ~src ~dst b pos len =
+  match Proxy.route t.proxy ~src ~dst b ~pos ~len with
+  | Proxy.Drop -> ()
+  | Proxy.Once -> forward t ~dst b pos len t.conns
+  | Proxy.Twice ->
+      forward t ~dst b pos len t.conns;
+      forward t ~dst b pos len t.conns
+  | Proxy.Once_then held ->
+      forward t ~dst b pos len t.conns;
+      forward t ~dst held 0 (Bytes.length held) t.conns
 
 let release_stash t =
   List.iter
-    (fun (_src, dst, frame) -> deliver_copies t [ frame ] ~dst)
+    (fun (_src, dst, image) ->
+      forward t ~dst image 0 (Bytes.length image) t.conns)
     (Proxy.flush t.proxy)
 
-let on_frame t src frame =
+(* A snapshot arrives as its views' image pieces, then a closing frame;
+   only a complete one is published.  A view's pieces are kept newest
+   first and joined once, when the snapshot closes, so assembly is
+   linear in the snapshot's size. *)
+let on_snapshot_part t p gid piece =
+  let views = Option.value ~default:[] (Hashtbl.find_opt t.parts p) in
+  Hashtbl.replace t.parts p
+    (match views with
+    | (g, pieces) :: older when Gid.equal g gid -> (g, piece :: pieces) :: older
+    | _ -> (gid, [ piece ]) :: views)
+
+(* Endpoints that agree send byte-identical images of a view, and a
+   view's prefix is a pure function of its image: within a round, each
+   distinct image is decoded once and its prefix shared. *)
+let decode_view t g image =
+  let seen = Option.value ~default:[] (Hashtbl.find_opt t.round g) in
+  match List.find_opt (fun (i, _) -> String.equal i image) seen with
+  | Some (_, prefix) -> Ok prefix
+  | None ->
+      Result.map
+        (fun prefix ->
+          Hashtbl.replace t.round g ((image, prefix) :: seen);
+          prefix)
+        (Wire.prefix_of_image image)
+
+let on_snapshot_done t p n =
+  let views = Option.value ~default:[] (Hashtbl.find_opt t.parts p) in
+  Hashtbl.remove t.parts p;
+  let rec decode acc = function
+    | [] -> Ok acc
+    | (g, pieces) :: older ->
+        Result.bind
+          (decode_view t g (String.concat "" (List.rev pieces)))
+          (fun prefix -> decode ((g, prefix) :: acc) older)
+  in
+  match decode [] views with
+  | Ok decoded when List.length decoded = n ->
+      t.snaps <- (p, decoded) :: List.remove_assoc p t.snaps
+  | Ok _ | Error _ -> Obs.Metrics.incr t.metrics "soak.bad_snapshots"
+
+(* The frames [p]'s connection sent, decoded. *)
+let on_frame t p frame =
   match frame with
   | Wire.Pkt { dst; pkt; _ } ->
-      (* trust the connection's identity, not the frame's src field *)
-      let frame = Wire.Pkt { src; dst; pkt } in
-      deliver_copies t (Proxy.route t.proxy ~src ~dst frame) ~dst
+      (* trust the connection's identity, not the frame's src field: a
+         forged src is rewritten, then routed like any packet *)
+      let image = Wire.encode (Wire.Pkt { src = p; dst; pkt }) in
+      route t ~src:p ~dst image 0 (Bytes.length image)
   | Wire.Delivered { events; records; _ } ->
       (* as for Pkt: the records are the connection's, whatever the
          frame says *)
       Obs.Metrics.incr ~by:events t.metrics "soak.trace_events";
-      List.iter (on_record t src) records
+      List.iter (on_record t p) records
   | Wire.Violation v -> latch t v
-  | Wire.Snapshot { proc; views } -> (
-      let rec decode = function
-        | [] -> Ok []
-        | (g, image) :: rest ->
-            Result.bind (Wire.prefix_of_image image) (fun prefix ->
-                Result.map (fun views -> (g, prefix) :: views) (decode rest))
-      in
-      match decode views with
-      | Ok views -> t.snaps <- (proc, views) :: List.remove_assoc proc t.snaps
-      | Error _ -> Obs.Metrics.incr t.metrics "soak.bad_snapshots")
+  | Wire.Snapshot_part { gid; piece } -> on_snapshot_part t p gid piece
+  | Wire.Snapshot_done { views } -> on_snapshot_done t p views
   | Wire.Hello _ | Wire.View_note _ | Wire.Client _ | Wire.Trace_line _
   | Wire.Snapshot_req | Wire.Shutdown ->
       ()
+
+(* Every frame image [p]'s connection sent.  A Pkt whose src is [p] is
+   verified in place and routed as the bytes that arrived; anything else
+   is decoded, and a frame that fails to decode — a bit flipped in a
+   Pkt included — kills the sender's connection. *)
+let on_image t p conn b pos len =
+  let dst = Wire.pkt_dst ~src:p b ~pos ~len in
+  if dst >= 0 then route t ~src:p ~dst b pos len
+  else
+    match Wire.decode_sub b ~pos ~len with
+    | Ok frame -> on_frame t p frame
+    | Error e -> Conn.fail conn ("framing: " ^ e)
 
 let register t conn p trace =
   (* A reconnecting endpoint replaces its dead predecessor.  Its trace
@@ -334,25 +400,29 @@ let register t conn p trace =
   | Some old -> Conn.close old
   | None -> ());
   t.conns <- (p, conn) :: List.remove_assoc p t.conns;
+  Hashtbl.remove t.parts p;
   t.traces <- Proc.Map.update p (fun _ -> trace) t.traces;
   t.member_view <- Proc.Map.remove p t.member_view;
   Obs.Metrics.incr t.metrics "soak.connects";
   reissue t
 
-(* The first frame must be a Hello; frames decoded after it in the same
-   read go to [on_frame] as the registered endpoint's. *)
+(* The first frame must be a Hello; frames after it in the same read go
+   to [on_image] as the registered endpoint's. *)
 let process_anon t conn =
   let owner = ref None in
-  Conn.recv conn (fun frame ->
-      match (!owner, frame) with
-      | Some p, _ -> on_frame t p frame
-      | None, Wire.Hello { proc; trace } ->
-          owner := Some proc;
-          t.anon <- List.filter (fun c -> c != conn) t.anon;
-          register t conn proc trace
-      | None, _ ->
-          t.anon <- List.filter (fun c -> c != conn) t.anon;
-          Conn.close conn)
+  Conn.recv_images conn (fun b pos len ->
+      match !owner with
+      | Some p -> on_image t p conn b pos len
+      | None -> (
+          match Wire.decode_sub b ~pos ~len with
+          | Ok (Wire.Hello { proc; trace }) ->
+              owner := Some proc;
+              t.anon <- List.filter (fun c -> c != conn) t.anon;
+              register t conn proc trace
+          | Ok _ ->
+              t.anon <- List.filter (fun c -> c != conn) t.anon;
+              Conn.close conn
+          | Error e -> Conn.fail conn ("framing: " ^ e)))
 
 let accept_loop t =
   let rec go () =
@@ -402,7 +472,8 @@ let poll t ~timeout =
         t.anon;
       List.iter
         (fun (p, conn) ->
-          if List.mem (Conn.fd conn) rd then Conn.recv conn (on_frame t p))
+          if List.mem (Conn.fd conn) rd then
+            Conn.recv_images conn (on_image t p conn))
         t.conns;
       List.iter
         (fun (_, c) -> if List.mem (Conn.fd c) wr then Conn.flush c)
@@ -463,6 +534,7 @@ let availability_sample t =
 
 let request_snapshots t =
   t.snaps <- [];
+  Hashtbl.reset t.round;
   List.iter
     (fun (_, c) -> if Conn.alive c then Conn.send c Wire.Snapshot_req)
     t.conns

@@ -5,7 +5,11 @@
     Endpoints connect to the hub's Unix-domain socket and say [Hello];
     every engine packet they exchange is routed through the hub's
     {!Proxy}, which executes the active {!Sim.Faults} phase on live
-    traffic.  The hub plays the membership service: whenever the
+    traffic.  A [Pkt] frame is routed as the bytes that arrived,
+    verified in place ({!Wire.pkt_dst}) and never decoded, unless its
+    [src] field names another process than its connection's: then it
+    is decoded, its [src] rewritten and the frame re-encoded.  Any frame
+    that fails its checks kills the sender's connection.  The hub plays the membership service: whenever the
     connected set or the installed partition changes, it issues a fresh
     view (monotone ids from 1) to each connected component — queued
     ahead of any subsequent packet on each connection, so an endpoint
@@ -94,7 +98,9 @@ val availability_sample : t -> float
 (** Broadcast [Snapshot_req], clearing previously stored snapshots. *)
 val request_snapshots : t -> unit
 
-(** Snapshots received since the last {!request_snapshots}. *)
+(** Snapshots received whole since the last {!request_snapshots}: an
+    endpoint sends its snapshot in pieces ({!Wire.snapshot}), and it is
+    listed here once its closing frame has arrived. *)
 val snapshots :
   t -> (Prelude.Proc.t * (Prelude.Gid.t * (string * Prelude.Proc.t) list) list) list
 

@@ -11,7 +11,8 @@ type frame =
   | Client of string
   | Trace_line of string
   | Snapshot_req
-  | Snapshot of { proc : Proc.t; views : (Gid.t * string) list }
+  | Snapshot_part of { gid : Gid.t; piece : string }
+  | Snapshot_done of { views : int }
   | Shutdown
   | Delivered of { proc : Proc.t; events : int; records : delivery list }
   | Violation of Obs.Monitor.violation
@@ -29,9 +30,10 @@ let pp ppf = function
   | Client m -> Format.fprintf ppf "client %S" m
   | Trace_line l -> Format.fprintf ppf "trace %S" l
   | Snapshot_req -> Format.pp_print_string ppf "snapshot?"
-  | Snapshot { proc; views } ->
-      Format.fprintf ppf "snapshot %a (%d views)" Proc.pp proc
-        (List.length views)
+  | Snapshot_part { gid; piece } ->
+      Format.fprintf ppf "snapshot part %a (%d bytes)" Gid.pp gid
+        (String.length piece)
+  | Snapshot_done { views } -> Format.fprintf ppf "snapshot done (%d views)" views
   | Shutdown -> Format.pp_print_string ppf "shutdown"
   | Delivered { proc; events; records } ->
       Format.fprintf ppf "delivered %a (%d events)%a" Proc.pp proc events
@@ -48,10 +50,13 @@ let prefix_image prefix = Check.Codec.image prefix_f prefix
 let prefix_image_iter iter = Check.Codec.list_image entry_f iter
 let prefix_of_image image = Check.Codec.of_image prefix_f image
 
+(* A Pkt frame's body starts with this tag, then [src] and [dst]:
+   {!pkt_dst} reads them there. *)
+let pkt_tag = 1
+
 let frame_f : frame Check.Codec.f =
   let open Check.Codec in
   let packet_f = Vs_impl.Packet.codec string in
-  let views_f = list (pair gid string) in
   let delivery_f =
     {
       wr =
@@ -77,7 +82,7 @@ let frame_f : frame Check.Codec.f =
             proc.wr b p;
             trace_f.wr b trace
         | Pkt { src; dst; pkt } ->
-            byte.wr b 1;
+            byte.wr b pkt_tag;
             proc.wr b src;
             proc.wr b dst;
             packet_f.wr b pkt
@@ -91,10 +96,10 @@ let frame_f : frame Check.Codec.f =
             byte.wr b 4;
             string.wr b l
         | Snapshot_req -> byte.wr b 5
-        | Snapshot { proc = p; views } ->
+        | Snapshot_part { gid = g; piece } ->
             byte.wr b 6;
-            proc.wr b p;
-            views_f.wr b views
+            gid.wr b g;
+            string.wr b piece
         | Shutdown -> byte.wr b 7
         | Delivered { proc = p; events; records } ->
             byte.wr b 8;
@@ -105,14 +110,17 @@ let frame_f : frame Check.Codec.f =
             byte.wr b 9;
             string.wr b rule;
             int.wr b at_seq;
-            string.wr b reason);
+            string.wr b reason
+        | Snapshot_done { views } ->
+            byte.wr b 10;
+            int.wr b views);
     rd =
       (fun r ->
         match byte.rd r with
         | 0 ->
             let p = proc.rd r in
             Hello { proc = p; trace = trace_f.rd r }
-        | 1 ->
+        | 1 (* pkt_tag *) ->
             let src = proc.rd r in
             let dst = proc.rd r in
             Pkt { src; dst; pkt = packet_f.rd r }
@@ -121,8 +129,8 @@ let frame_f : frame Check.Codec.f =
         | 4 -> Trace_line (string.rd r)
         | 5 -> Snapshot_req
         | 6 ->
-            let p = proc.rd r in
-            Snapshot { proc = p; views = views_f.rd r }
+            let g = gid.rd r in
+            Snapshot_part { gid = g; piece = string.rd r }
         | 7 -> Shutdown
         | 8 ->
             let p = proc.rd r in
@@ -132,15 +140,59 @@ let frame_f : frame Check.Codec.f =
             let rule = string.rd r in
             let at_seq = int.rd r in
             Violation { Obs.Monitor.rule; at_seq; reason = string.rd r }
+        | 10 -> Snapshot_done { views = int.rd r }
         | _ -> raise (Malformed "live-wire frame tag"));
   }
 
-let codec = Check.Codec.make ~id:"live-wire" ~version:2 frame_f
+let codec = Check.Codec.make ~id:"live-wire" ~version:3 frame_f
 
 let encode f = Check.Codec.encode codec f
 let decode b = Check.Codec.decode codec b
+let decode_sub b ~pos ~len = Check.Codec.decode_sub codec b ~pos ~len
 
 let max_frame = 16 * 1024 * 1024
+
+(* A snapshot's views go in pieces of at most 1 MiB: a frame stays far
+   below [max_frame] however much a view delivered. *)
+let snapshot_piece = 1 lsl 20
+
+let snapshot views send =
+  List.iter
+    (fun (gid, image) ->
+      let n = String.length image in
+      let rec pieces off =
+        let k = min snapshot_piece (n - off) in
+        send (Snapshot_part { gid; piece = String.sub image off k });
+        if off + k < n then pieces (off + k)
+      in
+      pieces 0)
+    views;
+  send (Snapshot_done { views = List.length views })
+
+(* The end of the varint at [p], or -1 if it runs past [stop]. *)
+let rec varint_end b p stop =
+  if p >= stop then -1
+  else if Char.code (Bytes.unsafe_get b p) land 0x80 = 0 then p + 1
+  else varint_end b (p + 1) stop
+
+(* The {!Check.Codec.int} whose varint fills [p, e), read back to front
+   from [i = e - 1]. *)
+let rec zigzag_at b p i acc =
+  if i >= p then
+    zigzag_at b p (i - 1)
+      ((acc lsl 7) lor (Char.code (Bytes.unsafe_get b i) land 0x7f))
+  else (acc lsr 1) lxor -(acc land 1)
+
+let pkt_dst ~src b ~pos ~len =
+  let body = Check.Codec.check_frame codec b ~pos ~len in
+  let stop = pos + len in
+  if body < 0 || Char.code (Bytes.get b body) <> pkt_tag then -1
+  else
+    let src_end = varint_end b (body + 1) stop in
+    if src_end < 0 || zigzag_at b (body + 1) (src_end - 1) 0 <> src then -1
+    else
+      let dst_end = varint_end b src_end stop in
+      if dst_end < 0 then -1 else zigzag_at b src_end (dst_end - 1) 0
 
 let to_wire f =
   let body = encode f in
@@ -151,19 +203,31 @@ let to_wire f =
   out
 
 module Reader = struct
-  (* Compacting window buffer: [off, len) holds unconsumed bytes. *)
+  (* Compacting window buffer: [off, len) holds unconsumed bytes; the
+     last image [next] handed over starts at [image]. *)
   type t = {
     mutable buf : bytes;
     mutable off : int;
     mutable len : int;  (* exclusive end of valid data *)
+    mutable image : int;
     max_frame : int;
     mutable err : string option;
   }
 
   let create ?(max_frame = max_frame) () =
-    { buf = Bytes.create 65536; off = 0; len = 0; max_frame; err = None }
+    {
+      buf = Bytes.create 65536;
+      off = 0;
+      len = 0;
+      image = 0;
+      max_frame;
+      err = None;
+    }
 
   let pending t = t.len - t.off
+  let buffer t = t.buf
+  let image_pos t = t.image
+  let error t = t.err
 
   let feed t src off n =
     let need = t.len - t.off + n in
@@ -186,31 +250,22 @@ module Reader = struct
     t.len <- t.len + n
 
   let next t =
-    match t.err with
-    | Some e -> Error e
-    | None ->
-        if pending t < 4 then Ok None
-        else
-          let n = Int32.to_int (Bytes.get_int32_be t.buf t.off) in
-          if n < 0 || n > t.max_frame then begin
-            let e = Printf.sprintf "frame length %d out of range" n in
-            t.err <- Some e;
-            Error e
-          end
-          else if pending t < 4 + n then Ok None
-          else begin
-            let pos = t.off + 4 in
-            t.off <- t.off + 4 + n;
-            if t.off = t.len then begin
-              t.off <- 0;
-              t.len <- 0
-            end;
-            (* decoded values copy what they keep: the window may be
-               overwritten by the next feed *)
-            match Check.Codec.decode_sub codec t.buf ~pos ~len:n with
-            | Ok f -> Ok (Some f)
-            | Error e ->
-                t.err <- Some e;
-                Error e
-          end
+    if t.err <> None || pending t < 4 then -1
+    else
+      let n = Int32.to_int (Bytes.get_int32_be t.buf t.off) in
+      if n < 0 || n > t.max_frame then begin
+        t.err <- Some (Printf.sprintf "frame length %d out of range" n);
+        -1
+      end
+      else if pending t < 4 + n then -1
+      else begin
+        (* the image stays where it lies until the next [feed] *)
+        t.image <- t.off + 4;
+        t.off <- t.off + 4 + n;
+        if t.off = t.len then begin
+          t.off <- 0;
+          t.len <- 0
+        end;
+        n
+      end
 end

@@ -6,8 +6,11 @@
     frame is rejected ([Error _]), never mis-decoded.
 
     On the stream each frame is preceded by a 4-byte big-endian length
-    of its codec image ({!to_wire}); {!module-Reader} reassembles frames
-    from arbitrary read chunks (short reads, coalesced writes).
+    of its codec image ({!to_wire}); {!module-Reader} reassembles frame
+    images from arbitrary read chunks (short reads, coalesced writes)
+    and hands each over as a slice of its buffer.  A router need not
+    decode a [Pkt] to forward it: {!pkt_dst} verifies the image in
+    place and reads the two fields routing needs.
 
     Client payloads are opaque strings ({!Prelude.Msg_intf.String_msg},
     the stack's default alphabet), so the engine packets ride
@@ -38,12 +41,14 @@ type frame =
           more (they ship {!Delivered} reports); it is kept only because
           [benchmark/replay.ml] times its encode and decode *)
   | Snapshot_req  (** hub → endpoint: request a delivery snapshot *)
-  | Snapshot of {
-      proc : Prelude.Proc.t;
-      views : (Prelude.Gid.t * string) list;
-          (** per view, the {!prefix_image} of its delivered prefix in
-              delivery order ({!Vs_impl.Engine.Make.delivered_prefix}) *)
-    }
+  | Snapshot_part of { gid : Prelude.Gid.t; piece : string }
+      (** endpoint → hub: the next bytes of view [gid]'s {!prefix_image}
+          (its delivered prefix in delivery order,
+          {!Vs_impl.Engine.Make.delivered_prefix}).  A view's pieces are
+          consecutive frames; see {!snapshot} *)
+  | Snapshot_done of { views : int }
+      (** endpoint → hub: the snapshot whose [views] views the
+          [Snapshot_part] frames before it carried is complete *)
   | Shutdown  (** hub → endpoint: drain and exit cleanly *)
   | Delivered of {
       proc : Prelude.Proc.t;
@@ -58,7 +63,7 @@ type frame =
 
 val pp : Format.formatter -> frame -> unit
 
-(** The framed codec (id ["live-wire"], version 2). *)
+(** The framed codec (id ["live-wire"], version 3). *)
 val codec : frame Check.Codec.t
 
 (** One frame's framed image (no stream length prefix). *)
@@ -67,6 +72,21 @@ val encode : frame -> bytes
 (** Inverse of {!encode}: magic/id/version/length/checksum are all
     checked, so any truncation or mutation is an [Error]. *)
 val decode : bytes -> (frame, string) result
+
+(** {!decode} of the image at [pos, pos + len) of a larger buffer — a
+    {!module-Reader} slice — with no copy of it. *)
+val decode_sub : bytes -> pos:int -> len:int -> (frame, string) result
+
+(** [pkt_dst ~src b ~pos ~len] is the [dst] field of the image at
+    [pos, pos + len) of [b] when that image is an intact [Pkt] frame
+    whose [src] field is [src]; otherwise [-1]: another kind of frame, a
+    [Pkt] from another [src], or a corrupt image ({!decode_sub} tells
+    which).  Intact means every frame check {!decode} makes — magic, id,
+    version, length and the 128-bit checksum ({!Check.Codec.check_frame})
+    — done in place, allocating nothing.  The engine packet itself is
+    not parsed: its bytes are covered by the checksum, and the receiver
+    decodes them. *)
+val pkt_dst : src:Prelude.Proc.t -> bytes -> pos:int -> len:int -> int
 
 (** A delivered prefix as a framed image (id ["live-prefix"]), for
     byte-for-byte cross-process agreement checks. *)
@@ -86,13 +106,24 @@ val prefix_of_image : string -> ((string * Prelude.Proc.t) list, string) result
 (** {2 Stream framing} *)
 
 (** Hard upper bound on one frame's image (16 MiB); {!module-Reader}
-    rejects lengths beyond it instead of allocating. *)
+    rejects lengths beyond it instead of allocating, and
+    {!Conn.send} refuses to send such a frame. *)
 val max_frame : int
+
+(** [snapshot views send] sends a delivery snapshot — per view, the
+    {!prefix_image} of its delivered prefix — as [Snapshot_part] frames
+    of at most 1 MiB of image each, view by view in order, then one
+    [Snapshot_done].  A view's image grows ~13 bytes a delivery, so a
+    snapshot sent whole would outgrow {!max_frame} after ~1.3 million
+    deliveries; in pieces, no frame comes near it. *)
+val snapshot : (Prelude.Gid.t * string) list -> (frame -> unit) -> unit
 
 (** [4-byte big-endian image length · image]. *)
 val to_wire : frame -> bytes
 
-(** Incremental frame reassembly from a byte stream. *)
+(** Incremental frame reassembly from a byte stream.  The reader only
+    delimits frames; it hands each image over where it lies, undecoded,
+    so a caller can forward its bytes or {!decode_sub} them. *)
 module Reader : sig
   type t
 
@@ -101,11 +132,16 @@ module Reader : sig
   (** Append [n] bytes of [src] starting at [off]. *)
   val feed : t -> bytes -> int -> int -> unit
 
-  (** The next complete frame, if the buffer holds one.  [Ok None] means
-      feed more bytes.  [Error _] — an out-of-range length or a frame
-      image {!decode} rejects — is sticky: the stream is corrupt and the
-      connection should be dropped. *)
-  val next : t -> (frame option, string) result
+  (** The length of the next complete frame image, which is consumed and
+      lies at [image_pos t] in [buffer t] until the next {!feed}; [-1]
+      when the buffer holds no complete frame yet, or when the stream is
+      corrupt: an out-of-range length prefix, which {!error} then names.
+      That error is sticky: the connection should be dropped. *)
+  val next : t -> int
+
+  val buffer : t -> bytes
+  val image_pos : t -> int
+  val error : t -> string option
 
   (** Bytes buffered but not yet consumed as frames. *)
   val pending : t -> int

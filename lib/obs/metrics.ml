@@ -7,11 +7,15 @@
 
 let series_shards = 8
 
-(* A shard's samples, oldest first, unboxed in [samples.(0 .. n-1)]; the
-   array doubles when full, so a sample costs 1–2 words of heap. *)
+(* A shard's samples, oldest first, unboxed in fixed-size chunks: sample
+   [i] is at [i mod chunk] of [chunks.(i / chunk)].  A full shard gains a
+   chunk and copies no sample, so a sample costs one word of heap and a
+   long series leaves no trail of outgrown arrays behind it. *)
+let chunk = 1024
+
 type shard = {
   smu : Mutex.t;
-  mutable samples : Float.Array.t;
+  mutable chunks : Float.Array.t array;
   mutable n : int;
 }
 
@@ -68,19 +72,16 @@ let gauge t name = Option.map (fun c -> !c) (find t t.gauges name)
 
 let mk_series () =
   Array.init series_shards (fun _ ->
-      { smu = Mutex.create (); samples = Float.Array.create 0; n = 0 })
+      { smu = Mutex.create (); chunks = [||]; n = 0 })
 
 let observe t name v =
   let s = cell t t.series name mk_series in
   let sh = s.((Domain.self () :> int) land (series_shards - 1)) in
   Mutex.lock sh.smu;
-  let cap = Float.Array.length sh.samples in
-  if sh.n = cap then begin
-    let grown = Float.Array.create (max 16 (2 * cap)) in
-    Float.Array.blit sh.samples 0 grown 0 cap;
-    sh.samples <- grown
-  end;
-  Float.Array.set sh.samples sh.n v;
+  let c = sh.n / chunk in
+  if c = Array.length sh.chunks then
+    sh.chunks <- Array.append sh.chunks [| Float.Array.create chunk |];
+  Float.Array.set sh.chunks.(c) (sh.n mod chunk) v;
   sh.n <- sh.n + 1;
   Mutex.unlock sh.smu
 
@@ -104,7 +105,7 @@ let series_samples (s : series) =
       Mutex.lock sh.smu;
       let acc = ref acc in
       for i = sh.n - 1 downto 0 do
-        acc := Float.Array.get sh.samples i :: !acc
+        acc := Float.Array.get sh.chunks.(i / chunk) (i mod chunk) :: !acc
       done;
       Mutex.unlock sh.smu;
       !acc)

@@ -10,9 +10,10 @@
    - Defect detection survives parallelism: the seeded No_dedup engine
      variant is still caught by the per-transition refinement check under
      jobs:4.
-   - Fingerprints: digests are chunking-independent, a known key string
-     pins the digest (any algorithm change must be deliberate), the
-     one-shot digest allocates only its result, and across a vs-stack
+   - Fingerprints: a known key string pins the digest (any algorithm
+     change must be deliberate), the one-shot digest allocates only its
+     result, the in-place two-range digest equals the digest of the
+     ranges joined and allocates nothing, and across a vs-stack
      exploration fingerprint equality coincides with key equality
      (collision audit). *)
 
@@ -35,31 +36,6 @@ let test_pinned_digest () =
     "digest of known key" "09e7ee0b947fb0c066136b75a915864e"
     (Fp.to_hex (Fp.of_string known_key))
 
-let test_incremental_matches_whole () =
-  let prop (s, cuts) =
-    let c = Fp.create () in
-    let n = String.length s in
-    let b = Bytes.of_string s in
-    (* chunks alternate between the string and the bytes feeders *)
-    let feed k i len =
-      if k mod 2 = 0 then Fp.feed c (String.sub s i len)
-      else Fp.feed_bytes c b ~pos:i ~len
-    in
-    let rec go k i = function
-      | [] -> feed k i (n - i)
-      | cut :: rest ->
-          let cut = i + (cut mod (n - i + 1)) in
-          feed k i (cut - i);
-          go (k + 1) cut rest
-    in
-    go 0 0 cuts;
-    Fp.equal (Fp.finish c) (Fp.of_string s)
-  in
-  QCheck.Test.make ~name:"incremental digest is chunking-independent"
-    ~count:500
-    QCheck.(pair string (small_list small_nat))
-    prop
-
 (* The one-shot digest keeps its lanes unboxed: per call it allocates
    only the result (a two-field record and its two boxed lanes, 9 words),
    however long the input. *)
@@ -74,6 +50,46 @@ let test_one_shot_digest_allocates_only_result () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per digest (at most 9)" per_call)
     true (per_call <= 9.)
+
+(* The in-place two-range digest is the one-shot digest of the two
+   ranges joined, whatever their lengths and wherever they sit (a word
+   may straddle them), stored high lane first; [check2] accepts exactly
+   what [store2] wrote. *)
+let test_two_range_matches_joined () =
+  QCheck.Test.make ~name:"two-range digest = digest of the ranges joined"
+    ~count:500
+    QCheck.(triple string string small_nat)
+    (fun (a, b, gap) ->
+      let la = String.length a and lb = String.length b in
+      let buf = Bytes.make (la + gap + lb + gap + 16) '\x5a' in
+      Bytes.blit_string a 0 buf 0 la;
+      let pos2 = la + gap in
+      Bytes.blit_string b 0 buf pos2 lb;
+      let at = pos2 + lb + gap in
+      Fp.store2 buf ~pos1:0 ~len1:la ~pos2 ~len2:lb ~at;
+      let d = Fp.of_string (a ^ b) in
+      let stored =
+        Int64.equal (Bytes.get_int64_be buf at) d.hi
+        && Int64.equal (Bytes.get_int64_be buf (at + 8)) d.lo
+      in
+      let ok = Fp.check2 buf ~pos1:0 ~len1:la ~pos2 ~len2:lb ~at in
+      Bytes.set buf at (Char.chr (Char.code (Bytes.get buf at) lxor 1));
+      stored && ok
+      && not (Fp.check2 buf ~pos1:0 ~len1:la ~pos2 ~len2:lb ~at))
+
+(* Storing and checking a two-range digest allocates nothing. *)
+let test_two_range_allocates_nothing () =
+  let b = Bytes.init 240 (fun i -> Char.chr (i * 7 land 0xff)) in
+  Fp.store2 b ~pos1:1 ~len1:11 ~pos2:14 ~len2:203 ~at:220;
+  let w0 = Gc.minor_words () in
+  let ok = ref true in
+  for _ = 1 to 1_000 do
+    Fp.store2 b ~pos1:1 ~len1:11 ~pos2:14 ~len2:203 ~at:220;
+    ok := !ok && Fp.check2 b ~pos1:1 ~len1:11 ~pos2:14 ~len2:203 ~at:220
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "every check holds" true !ok;
+  Alcotest.(check (float 0.)) "minor words allocated" 0. words
 
 let test_distinct_strings_distinct_digests () =
   QCheck.Test.make ~name:"distinct strings digest distinctly" ~count:500
@@ -249,9 +265,11 @@ let () =
       ( "fingerprint",
         [
           Alcotest.test_case "pinned digest" `Quick test_pinned_digest;
-          qcheck_case (test_incremental_matches_whole ());
           Alcotest.test_case "one-shot digest allocates only its result"
             `Quick test_one_shot_digest_allocates_only_result;
+          qcheck_case (test_two_range_matches_joined ());
+          Alcotest.test_case "two-range digest allocates nothing" `Quick
+            test_two_range_allocates_nothing;
           qcheck_case (test_distinct_strings_distinct_digests ());
           Alcotest.test_case "MSB transpositions digest apart" `Quick
             test_msb_transposition_resists;
